@@ -48,6 +48,7 @@ from .cograded import (
     adjoint_shuffle_action,
     check_admissible,
     check_cograded,
+    check_cograded_laws,
     check_crossing,
     deform,
     deformed_right_integral,

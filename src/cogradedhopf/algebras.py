@@ -24,11 +24,32 @@ from .exact import (
     ONE,
     ZERO,
     Matrix,
+    accumulate,
     as_scalar,
     kernel_of_sparse_rows,
     vector,
 )
 from .groups import GroupOracle, Window
+
+
+def _nonzero(v) -> list:
+    """The (index, coefficient) pairs of the nonzero entries of a vector."""
+    return [(i, a) for i, a in enumerate(v) if a]
+
+
+def _bilinear(table: dict, xs, ys) -> dict:
+    """The sparse bilinear product: the sum of x_i y_j table[(i, j)].
+
+    ``xs`` and ``ys`` are lists of (index, coefficient) pairs and ``table``
+    maps index pairs to sparse rows {k: coeff}.
+    """
+    out: dict = {}
+    for i, xi in xs:
+        for j, yj in ys:
+            entry = table.get((i, j))
+            if entry:
+                accumulate(out, entry, xi * yj)
+    return out
 
 
 class ComponentAlgebra:
@@ -81,22 +102,7 @@ class ComponentAlgebra:
 
     def product_vec(self, x, y) -> dict:
         """Sparse product of two coefficient vectors (dict k -> scalar)."""
-        out: dict = {}
-        xs = [(i, xi) for i, xi in enumerate(x) if xi]
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in xs:
-            for j, yj in ys:
-                entry = self.products.get((i, j))
-                if not entry:
-                    continue
-                c = xi * yj
-                for k, ck in entry.items():
-                    val = out.get(k, ZERO) + c * ck
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
-        return out
+        return _bilinear(self.products, _nonzero(x), _nonzero(y))
 
     def left_mult_matrix(self, x) -> Matrix:
         cols = []
@@ -128,20 +134,10 @@ class ComponentAlgebra:
                 for k in range(self.dim):
                     left: dict = {}
                     for t, c in ij.items():
-                        for m, cm in self.products.get((t, k), {}).items():
-                            val = left.get(m, ZERO) + c * cm
-                            if val:
-                                left[m] = val
-                            else:
-                                left.pop(m, None)
+                        accumulate(left, self.products.get((t, k), {}), c)
                     right: dict = {}
                     for t, c in self.products.get((j, k), {}).items():
-                        for m, cm in self.products.get((i, t), {}).items():
-                            val = right.get(m, ZERO) + c * cm
-                            if val:
-                                right[m] = val
-                            else:
-                                right.pop(m, None)
+                        accumulate(right, self.products.get((i, t), {}), c)
                     if left != right:
                         return "(e%d e%d) e%d != e%d (e%d e%d)" % (i, j, k, i, j, k)
         return None
@@ -255,15 +251,8 @@ class GradedAlgebra:
                     % (self.group.encode(p), self.group.encode(q), m.rows, m.cols,
                        self.dim(t), dp * dq)
                 )
-            table = {}
-            for i in range(dp):
-                for j in range(dq):
-                    colidx = i * dq + j
-                    entry = {
-                        k: m.entry(k, colidx) for k in range(m.rows) if m.entry(k, colidx)
-                    }
-                    if entry:
-                        table[(i, j)] = entry
+            # column i*dq + j of the block is the product of e_i and e_j
+            table = {divmod(n, dq): col for n, col in enumerate(m.sparse_columns()) if col}
         self._block_sparse[key] = table
         return table
 
@@ -286,27 +275,23 @@ class GradedAlgebra:
     def multiply_vectors(self, p, q, x, y) -> "tuple[object, dict]":
         """Product of component vectors; returns (target element, sparse dict)."""
         table = self.product_block_sparse(p, q)
-        out: dict = {}
-        xs = [(i, xi) for i, xi in enumerate(x) if xi]
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in xs:
-            for j, yj in ys:
-                entry = table.get((i, j))
-                if not entry:
-                    continue
-                c = xi * yj
-                for k, ck in entry.items():
-                    val = out.get(k, ZERO) + c * ck
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
-        return self.product_target(p, q), out
+        return self.product_target(p, q), _bilinear(table, _nonzero(x), _nonzero(y))
 
     # -- elements -------------------------------------------------------------
 
     def zero(self) -> "GradedElement":
         return GradedElement(self, {})
+
+    def from_sparse(self, acc: dict) -> "GradedElement":
+        """The element whose p-component is the sparse row acc[p] = {k: coeff}."""
+        return GradedElement(
+            self,
+            {
+                p: tuple(cur.get(k, ZERO) for k in range(self.dim(p)))
+                for p, cur in acc.items()
+                if cur
+            },
+        )
 
     def element(self, comps: dict) -> "GradedElement":
         cooked = {}
@@ -345,21 +330,8 @@ class GradedAlgebra:
                     continue
                 target, prod = self.multiply_vectors(p, q, xv, yv)
                 if prod:
-                    cur = acc.setdefault(target, {})
-                    for k, c in prod.items():
-                        val = cur.get(k, ZERO) + c
-                        if val:
-                            cur[k] = val
-                        else:
-                            cur.pop(k, None)
-        return GradedElement(
-            self,
-            {
-                t: tuple(cur.get(k, ZERO) for k in range(self.dim(t)))
-                for t, cur in acc.items()
-                if cur
-            },
-        )
+                    accumulate(acc.setdefault(target, {}), prod)
+        return self.from_sparse(acc)
 
     def unit_multiplier(self) -> "GradedMultiplier":
         if self.mode != COGRADED:
@@ -489,15 +461,12 @@ class GradedMultiplier:
         for p, v in x.comps.items():
             mp = self.component(p)
             if side == "left":
-                _, prod = self.algebra.multiply_vectors(p, p, mp, v)
+                _, out[p] = self.algebra.multiply_vectors(p, p, mp, v)
             elif side == "right":
-                _, prod = self.algebra.multiply_vectors(p, p, v, mp)
+                _, out[p] = self.algebra.multiply_vectors(p, p, v, mp)
             else:
                 raise ValueError("side must be 'left' or 'right'")
-            if prod:
-                d = self.algebra.dim(p)
-                out[p] = tuple(prod.get(k, ZERO) for k in range(d))
-        return GradedElement(self.algebra, out)
+        return self.algebra.from_sparse(out)
 
     def equals_on(self, other: "GradedMultiplier", window) -> bool:
         return all(
@@ -573,23 +542,33 @@ class TensorElement:
             self.left, self.right, {k: dict(v) for k, v in self.blocks.items()}
         )
 
-    def add_term(self, p, q, i, j, coeff):
-        if not coeff:
-            return
+    def add_block(self, p, q, row, scale=None) -> None:
+        """In place: add ``scale`` times the sparse row {(i, j): coeff} to block (p, q)."""
         block = self.blocks.setdefault((p, q), {})
-        val = block.get((i, j), ZERO) + coeff
-        if val:
-            block[(i, j)] = val
-        else:
-            del block[(i, j)]
-            if not block:
-                del self.blocks[(p, q)]
+        accumulate(block, row, scale)
+        if not block:
+            del self.blocks[(p, q)]
+
+    def add_term(self, p, q, i, j, coeff):
+        if coeff:
+            self.add_block(p, q, (((i, j), coeff),))
+
+    def accumulate(self, other: "TensorElement", c=None) -> None:
+        """In place: self += c * other, with c one by default."""
+        for (p, q), block in other.blocks.items():
+            self.add_block(p, q, block, c)
+
+    def accumulate_outer(self, x: GradedElement, y: GradedElement, c=None) -> None:
+        """In place: self += c * (x (x) y), with c one by default."""
+        for p, xv in x.comps.items():
+            xs = [(i, a if c is None else c * a) for i, a in enumerate(xv) if a]
+            for q, yv in y.comps.items():
+                ys = _nonzero(yv)
+                self.add_block(p, q, (((i, j), a * b) for i, a in xs for j, b in ys))
 
     def add(self, other: "TensorElement") -> "TensorElement":
         out = self.copy()
-        for (p, q), block in other.blocks.items():
-            for (i, j), c in block.items():
-                out.add_term(p, q, i, j, c)
+        out.accumulate(other)
         return out
 
     def scale(self, c) -> "TensorElement":
@@ -620,7 +599,9 @@ class TensorElement:
         )
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self.add(other.scale(GR(-1)))
+        out = self.copy()
+        out.accumulate(other, GR(-1))
+        return out
 
     def terms(self):
         for (p, q), block in sorted(
@@ -636,187 +617,110 @@ class TensorElement:
     @staticmethod
     def of_pair(x: GradedElement, y: GradedElement) -> "TensorElement":
         out = TensorElement(x.algebra, y.algebra)
-        for p, xv in x.comps.items():
-            xs = [(i, a) for i, a in enumerate(xv) if a]
-            for q, yv in y.comps.items():
-                for i, a in xs:
-                    for j, b in enumerate(yv):
-                        if b:
-                            out.add_term(p, q, i, j, a * b)
+        out.accumulate_outer(x, y)
         return out
 
     def flip(self) -> "TensorElement":
         out = TensorElement(self.right, self.left)
         for (p, q), block in self.blocks.items():
-            for (i, j), c in block.items():
-                out.add_term(q, p, j, i, c)
+            out.blocks[(q, p)] = {(j, i): c for (i, j), c in block.items()}
         return out
 
     # -- leg operations -------------------------------------------------------
 
+    def _on_leg(self, leg: int, images: Callable, algebra) -> "TensorElement":
+        """The leg routine behind the leg products, leg maps and covectors.
+
+        Replaces each basis vector of the chosen leg (1 or 2) by its image and
+        keeps the other leg. ``images(r)`` yields, for component r of that
+        leg, pairs (target, image) where ``image(m, c)`` is the sparse row
+        {k: coeff} of c times basis vector m in the target component of
+        ``algebra``.
+        """
+        first = leg == 1
+        out = TensorElement(algebra, self.right) if first else TensorElement(self.left, algebra)
+        for (p, q), block in self.blocks.items():
+            for target, image in images(p if first else q):
+                if first:
+                    out.add_block(target, q, (
+                        ((k, j), v) for (i, j), c in block.items() for k, v in image(i, c).items()
+                    ))
+                else:
+                    out.add_block(p, target, (
+                        ((i, k), v) for (i, j), c in block.items() for k, v in image(j, c).items()
+                    ))
+        return out
+
+    def _mul_leg(self, leg: int, side: str, y: GradedElement) -> "TensorElement":
+        """Multiply the chosen leg by y on the given side."""
+        alg = self.left if leg == 1 else self.right
+        if y.algebra is not alg:
+            raise ValueError(
+                "%s leg lives in a different algebra" % ("first" if leg == 1 else "second")
+            )
+        factors = [(s, _nonzero(yv)) for s, yv in y.comps.items()]
+
+        def images(r):
+            for s, ys in factors:
+                if alg.mode == COGRADED and r != s:
+                    continue
+                if side == "left":
+                    table = alg.product_block_sparse(s, r)
+                    yield alg.product_target(s, r), (
+                        lambda m, c, t=table, ys=ys: _bilinear(t, ys, ((m, c),)))
+                else:
+                    table = alg.product_block_sparse(r, s)
+                    yield alg.product_target(r, s), (
+                        lambda m, c, t=table, ys=ys: _bilinear(t, ((m, c),), ys))
+
+        return self._on_leg(leg, images, alg)
+
     def mul_leg2_right(self, y: GradedElement) -> "TensorElement":
         """self * (1 (x) y): multiply second legs by y on the right."""
-        if y.algebra is not self.right:
-            raise ValueError("second leg lives in a different algebra")
-        alg = self.right
-        out = TensorElement(self.left, self.right)
-        for (p, q), block in self.blocks.items():
-            for s, yv in y.comps.items():
-                if alg.mode == COGRADED and q != s:
-                    continue
-                table = alg.product_block_sparse(q, s)
-                target = alg.product_target(q, s)
-                ys = [(l, yl) for l, yl in enumerate(yv) if yl]
-                for (i, j), c in block.items():
-                    for l, yl in ys:
-                        entry = table.get((j, l))
-                        if not entry:
-                            continue
-                        cc = c * yl
-                        for k, ck in entry.items():
-                            out.add_term(p, target, i, k, cc * ck)
-        return out
+        return self._mul_leg(2, "right", y)
 
     def mul_leg2_left(self, y: GradedElement) -> "TensorElement":
         """(1 (x) y) * self: multiply second legs by y on the left."""
-        if y.algebra is not self.right:
-            raise ValueError("second leg lives in a different algebra")
-        alg = self.right
-        out = TensorElement(self.left, self.right)
-        for (p, q), block in self.blocks.items():
-            for s, yv in y.comps.items():
-                if alg.mode == COGRADED and q != s:
-                    continue
-                table = alg.product_block_sparse(s, q)
-                target = alg.product_target(s, q)
-                ys = [(l, yl) for l, yl in enumerate(yv) if yl]
-                for (i, j), c in block.items():
-                    for l, yl in ys:
-                        entry = table.get((l, j))
-                        if not entry:
-                            continue
-                        cc = c * yl
-                        for k, ck in entry.items():
-                            out.add_term(p, target, i, k, cc * ck)
-        return out
+        return self._mul_leg(2, "left", y)
 
     def mul_leg1_right(self, y: GradedElement) -> "TensorElement":
         """self * (y (x) 1): multiply first legs by y on the right."""
-        if y.algebra is not self.left:
-            raise ValueError("first leg lives in a different algebra")
-        alg = self.left
-        out = TensorElement(self.left, self.right)
-        for (p, q), block in self.blocks.items():
-            for s, yv in y.comps.items():
-                if alg.mode == COGRADED and p != s:
-                    continue
-                table = alg.product_block_sparse(p, s)
-                target = alg.product_target(p, s)
-                ys = [(l, yl) for l, yl in enumerate(yv) if yl]
-                for (i, j), c in block.items():
-                    for l, yl in ys:
-                        entry = table.get((i, l))
-                        if not entry:
-                            continue
-                        cc = c * yl
-                        for k, ck in entry.items():
-                            out.add_term(target, q, k, j, cc * ck)
-        return out
+        return self._mul_leg(1, "right", y)
 
     def mul_leg1_left(self, y: GradedElement) -> "TensorElement":
         """(y (x) 1) * self: multiply first legs by y on the left."""
-        if y.algebra is not self.left:
-            raise ValueError("first leg lives in a different algebra")
-        alg = self.left
-        out = TensorElement(self.left, self.right)
-        for (p, q), block in self.blocks.items():
-            for s, yv in y.comps.items():
-                if alg.mode == COGRADED and p != s:
-                    continue
-                table = alg.product_block_sparse(s, p)
-                target = alg.product_target(s, p)
-                ys = [(l, yl) for l, yl in enumerate(yv) if yl]
-                for (i, j), c in block.items():
-                    for l, yl in ys:
-                        entry = table.get((l, i))
-                        if not entry:
-                            continue
-                        cc = c * yl
-                        for k, ck in entry.items():
-                            out.add_term(target, q, k, j, cc * ck)
-        return out
+        return self._mul_leg(1, "left", y)
+
+    def _collapse(self, leg: int, fn: Callable) -> GradedElement:
+        """Collapse the chosen leg with a per-component covector family."""
+
+        def images(r):
+            # a covector maps basis vector m to w[m] times a single scalar basis vector
+            w = fn(r)
+            yield None, lambda m, c: {0: w[m] * c} if w[m] else {}
+
+        collapsed = self._on_leg(leg, images, None)
+        keep = 2 - leg  # position of the kept leg in block keys and index pairs
+        return (self.right if leg == 1 else self.left).from_sparse({
+            key[keep]: {ij[keep]: c for ij, c in block.items()}
+            for key, block in collapsed.blocks.items()
+        })
 
     def apply_covector_leg1(self, fn: Callable) -> GradedElement:
         """Collapse the first leg with a per-component covector family."""
-        acc: dict = {}
-        for (p, q), block in self.blocks.items():
-            cov = fn(p)
-            for (i, j), c in block.items():
-                w = cov[i]
-                if not w:
-                    continue
-                cur = acc.setdefault(q, {})
-                val = cur.get(j, ZERO) + w * c
-                if val:
-                    cur[j] = val
-                else:
-                    cur.pop(j, None)
-        return GradedElement(
-            self.right,
-            {
-                q: tuple(cur.get(k, ZERO) for k in range(self.right.dim(q)))
-                for q, cur in acc.items()
-                if cur
-            },
-        )
+        return self._collapse(1, fn)
 
     def apply_covector_leg2(self, fn: Callable) -> GradedElement:
-        acc: dict = {}
-        for (p, q), block in self.blocks.items():
-            cov = fn(q)
-            for (i, j), c in block.items():
-                w = cov[j]
-                if not w:
-                    continue
-                cur = acc.setdefault(p, {})
-                val = cur.get(i, ZERO) + w * c
-                if val:
-                    cur[i] = val
-                else:
-                    cur.pop(i, None)
-        return GradedElement(
-            self.left,
-            {
-                p: tuple(cur.get(k, ZERO) for k in range(self.left.dim(p)))
-                for p, cur in acc.items()
-                if cur
-            },
-        )
+        """Collapse the second leg with a per-component covector family."""
+        return self._collapse(2, fn)
 
     def map_leg1(self, family: Callable, target_algebra=None) -> "TensorElement":
         """Apply a linear family p -> (target component, Matrix) to first legs."""
-        alg = target_algebra or self.left
-        out = TensorElement(alg, self.right)
-        for (p, q), block in self.blocks.items():
-            target, m = family(p)
-            for (i, j), c in block.items():
-                for k in range(m.rows):
-                    a = m.entry(k, i)
-                    if a:
-                        out.add_term(target, q, k, j, c * a)
-        return out
+        return self._on_leg(1, _matrix_images(family), target_algebra or self.left)
 
     def map_leg2(self, family: Callable, target_algebra=None) -> "TensorElement":
-        alg = target_algebra or self.right
-        out = TensorElement(self.left, alg)
-        for (p, q), block in self.blocks.items():
-            target, m = family(q)
-            for (i, j), c in block.items():
-                for k in range(m.rows):
-                    a = m.entry(k, j)
-                    if a:
-                        out.add_term(p, target, i, k, c * a)
-        return out
+        """Apply a linear family q -> (target component, Matrix) to second legs."""
+        return self._on_leg(2, _matrix_images(family), target_algebra or self.right)
 
     def contract_product(self) -> GradedElement:
         """Multiply the two legs together (both must live in one algebra)."""
@@ -828,26 +732,23 @@ class TensorElement:
             if alg.mode == COGRADED and p != q:
                 continue
             table = alg.product_block_sparse(p, q)
-            target = alg.product_target(p, q)
-            for (i, j), c in block.items():
-                entry = table.get((i, j))
-                if not entry:
-                    continue
-                cur = acc.setdefault(target, {})
-                for k, ck in entry.items():
-                    val = cur.get(k, ZERO) + c * ck
-                    if val:
-                        cur[k] = val
-                    else:
-                        cur.pop(k, None)
-        return GradedElement(
-            alg,
-            {
-                t: tuple(cur.get(k, ZERO) for k in range(alg.dim(t)))
-                for t, cur in acc.items()
-                if cur
-            },
-        )
+            cur = acc.setdefault(alg.product_target(p, q), {})
+            for ij, c in block.items():
+                entry = table.get(ij)
+                if entry:
+                    accumulate(cur, entry, c)
+        return alg.from_sparse(acc)
+
+
+def _matrix_images(family: Callable) -> Callable:
+    """Leg images of a linear family r -> (target component, Matrix)."""
+
+    def images(r):
+        target, m = family(r)
+        rows = m.entries
+        yield target, lambda j, c: {k: c * row[j] for k, row in enumerate(rows) if row[j]}
+
+    return images
 
 
 def check_graded_algebra(algebra: GradedAlgebra, window: Window) -> "CertificateReport":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebras import COGRADED, GradedAlgebra, GradedElement, TensorElement
-from .exact import Matrix, ONE, ZERO, is_bijective, vector
+from .exact import Matrix, ONE, ZERO, accumulate, is_bijective, vector
 from .groups import GroupSelfAction, Window, adjoint_self_action, trivial_self_action
 from .hopf import (
     BlockComultiplication,
@@ -140,46 +140,24 @@ def _condition_one_witness(
             if tcols is None:
                 return "missing image block at p=%s (%s,%s)" % (
                     g.encode(p), g.encode(q), g.encode(r))
-            pi_src = action.block(p, src)
-            pi_q_cols = _sparse_cols(action.block(p, q))
-            pi_r_cols = _sparse_cols(action.block(p, r))
+            pi_src_cols = action.block(p, src).sparse_columns()
+            pi_q_cols = action.block(p, q).sparse_columns()
+            pi_r_cols = action.block(p, r).sparse_columns()
             dr = alg.dim(r)
             dtr = alg.dim(tr)
             for i in range(alg.dim(src)):
                 lhs: dict = {}
-                for k in range(pi_src.rows):
-                    c = pi_src.entries[k][i]
-                    if not c:
-                        continue
-                    for idx, cc in tcols[k].items():
-                        val = lhs.get(idx, ZERO) + c * cc
-                        if val:
-                            lhs[idx] = val
-                        else:
-                            lhs.pop(idx, None)
+                for k, c in pi_src_cols[i].items():
+                    accumulate(lhs, tcols[k], c)
                 rhs: dict = {}
                 for idx, c in cols[i].items():
                     a, b = divmod(idx, dr)
                     for k, ck in pi_q_cols[a].items():
-                        cck = c * ck
-                        for l, cl in pi_r_cols[b].items():
-                            key = k * dtr + l
-                            val = rhs.get(key, ZERO) + cck * cl
-                            if val:
-                                rhs[key] = val
-                            else:
-                                rhs.pop(key, None)
+                        accumulate(rhs, ((k * dtr + l, cl) for l, cl in pi_r_cols[b].items()), c * ck)
                 if lhs != rhs:
                     return "p=%s block (%s,%s) basis %d" % (
                         g.encode(p), g.encode(q), g.encode(r), i)
     return None
-
-
-def _sparse_cols(m: Matrix) -> list:
-    return [
-        {i: m.entries[i][j] for i in range(m.rows) if m.entries[i][j]}
-        for j in range(m.cols)
-    ]
 
 
 def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate:
@@ -349,22 +327,14 @@ class DeformedBlockDelta(BlockComultiplication):
         if base is None:
             return None
         qinv = g.invert(q)
-        twist = self.action.block(qinv, p0)  # B_{p0} -> B_p
+        twist = self.action.block(qinv, p0).sparse_columns()  # B_{p0} -> B_p
         dq = self.algebra.dim(q)
         out = []
         for col in base:
             new: dict = {}
             for idx, c in col.items():
                 a, b = divmod(idx, dq)
-                for k in range(twist.rows):
-                    t = twist.entries[k][a]
-                    if t:
-                        key = k * dq + b
-                        val = new.get(key, ZERO) + t * c
-                        if val:
-                            new[key] = val
-                        else:
-                            new.pop(key, None)
+                accumulate(new, ((k * dq + b, t) for k, t in twist[a].items()), c)
             out.append(new)
         return out
 
@@ -448,6 +418,16 @@ def deformed_right_integral(
 def check_cograded(b: MhaStructure, window: Window) -> CertificateReport:
     """Cograded-specific laws: diagonal product, canonical-map bijectivity,
     counit support, antipode typing, and the unit-family compatibilities."""
+    return _check_cograded(b, window, with_canonical_maps=True)
+
+
+def check_cograded_laws(b: MhaStructure, window: Window) -> CertificateReport:
+    """:func:`check_cograded` without the canonical-map blocks, for callers
+    that run :func:`check_t1_t2` on the same window themselves."""
+    return _check_cograded(b, window, with_canonical_maps=False)
+
+
+def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) -> CertificateReport:
     alg = b.algebra
     g = b.group
     rep = CertificateReport(
@@ -460,7 +440,8 @@ def check_cograded(b: MhaStructure, window: Window) -> CertificateReport:
     if alg.mode != COGRADED:
         return rep
 
-    rep.extend(check_t1_t2(b, window))
+    if with_canonical_maps:
+        rep.extend(check_t1_t2(b, window))
 
     witness = None
     for p in window.elements:
@@ -515,24 +496,14 @@ def check_cograded(b: MhaStructure, window: Window) -> CertificateReport:
     witness = None
     for p, q in window.pairs():
         src = b.delta.source(p, q)
-        cols = b.delta.block_cols(p, q)
-        if cols is None:
+        if b.delta.block_cols(p, q) is None:
             witness = "missing block (%s,%s)" % (g.encode(p), g.encode(q))
             break
-        dq = alg.dim(q)
-        expected = TensorElement(alg, alg)
-        up = alg.component(p).unit
-        uq = alg.component(q).unit
-        for i, a in enumerate(up):
-            for j, c in enumerate(uq):
-                if a and c:
-                    expected.add_term(p, q, i, j, a * c)
+        expected = TensorElement.of_pair(
+            alg.element({p: alg.component(p).unit}), alg.element({q: alg.component(q).unit})
+        )
         got = TensorElement(alg, alg)
-        for i, a in enumerate(alg.component(src).unit):
-            if not a:
-                continue
-            for idx, c in cols[i].items():
-                got.add_term(p, q, idx // dq, idx % dq, a * c)
+        b.accumulate_block(got, p, q, alg.component(src).unit)
         if got != expected:
             witness = "block (%s,%s) of the unit family" % (g.encode(p), g.encode(q))
             break

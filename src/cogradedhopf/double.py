@@ -28,6 +28,7 @@ from .exact import (
     ONE,
     ZERO,
     Matrix,
+    accumulate,
     inverse,
     is_bijective,
     rank_of_sparse_columns,
@@ -316,11 +317,8 @@ def build_module_actions(pairing: Pairing, window: Window):
             for i in range(aside.algebra.dim(s)):
                 # a_i^(s) |> B_{rs} lands in B_r
                 m = a_on_b.get((s, i, g.multiply(r, s)))
-                if m is None:
-                    continue
-                for j in range(m.cols):
-                    col = {k: m.entries[k][j] for k in range(m.rows) if m.entries[k][j]}
-                    cols.append(col)
+                if m is not None:
+                    cols.extend(m.sparse_columns())
         if rank_of_sparse_columns(cols, dr) != dr:
             witness = "component %s is not reached by the forward action" % g.encode(r)
             break
@@ -332,10 +330,7 @@ def build_module_actions(pairing: Pairing, window: Window):
         ds = aside.algebra.dim(s)
         cols = []
         for j in range(bside.algebra.dim(s)):
-            m = b_on_a[(s, j)]
-            for i in range(m.cols):
-                col = {k: m.entries[k][i] for k in range(m.rows) if m.entries[k][i]}
-                cols.append(col)
+            cols.extend(b_on_a[(s, j)].sparse_columns())
         if rank_of_sparse_columns(cols, ds) != ds:
             witness = "component %s is not reached by b |> a" % g.encode(s)
             break
@@ -700,10 +695,7 @@ class TwistCalculus:
             for (k1, k2, c) in terms:
                 moved = self.bside.algebra.element({s: tw.col(k1)})
                 acted = act_b_on_a(self.pairing, moved, a)
-                for p2, av in acted.comps.items():
-                    for i2, c2 in enumerate(av):
-                        if c2:
-                            out.add_term(p2, v, i2, k2, c * c2)
+                out.accumulate_outer(acted, self.bside.algebra.basis_element(v, k2), c)
         return out
 
     def r1_inv_basis(self, s, i, r, j) -> TensorElement:
@@ -723,10 +715,7 @@ class TwistCalculus:
                 moved_vec = tw.apply(vec)
                 moved = self.bside.algebra.element({s: moved_vec})
                 acted = act_b_on_a(self.pairing, moved, a)
-                for p2, av in acted.comps.items():
-                    for i2, c2 in enumerate(av):
-                        if c2:
-                            out.add_term(p2, v, i2, k2, c * c2)
+                out.accumulate_outer(acted, self.bside.algebra.basis_element(v, k2), c)
         return out
 
     def r2_basis(self, s, i, r, j) -> TensorElement:
@@ -738,10 +727,7 @@ class TwistCalculus:
         for (k1, k2, c) in terms:
             right_leg = self.bside.algebra.basis_element(v, k2)
             acted = act_a_on_a(self.pairing, a, right_leg)
-            for p2, av in acted.comps.items():
-                for i2, c2 in enumerate(av):
-                    if c2:
-                        out.add_term(p2, u, i2, k1, c * c2)
+            out.accumulate_outer(acted, self.bside.algebra.basis_element(u, k1), c)
         return out
 
     def r2_inv_basis(self, s, i, r, j) -> TensorElement:
@@ -756,10 +742,7 @@ class TwistCalculus:
             acted = act_a_on_a(
                 self.pairing, a, self.bside.algebra.element({s: vec})
             )
-            for p2, av in acted.comps.items():
-                for i2, c2 in enumerate(av):
-                    if c2:
-                        out.add_term(p2, u, i2, k1, c * c2)
+            out.accumulate_outer(acted, self.bside.algebra.basis_element(u, k1), c)
         return out
 
     def r_closed_basis(self, r, j, s, i) -> TensorElement:
@@ -782,10 +765,7 @@ class TwistCalculus:
                 acted = act_a_on_a(
                     self.pairing, acted, self.bside.algebra.element({s: sinv_m.col(k3)})
                 )
-                for p2, av in acted.comps.items():
-                    for i2, c2 in enumerate(av):
-                        if c2:
-                            out.add_term(p2, v, i2, k2, c * c2)
+                out.accumulate_outer(acted, self.bside.algebra.basis_element(v, k2), c)
         return out
 
     # -- linear extension helpers ---------------------------------------------
@@ -794,7 +774,7 @@ class TwistCalculus:
         out = TensorElement(self.aside.algebra, self.bside.algebra)
         for (s, r), block in t.blocks.items():
             for (i, j), c in block.items():
-                out = out.add(fn(s, i, r, j).scale(c))
+                out.accumulate(fn(s, i, r, j), c)
         return out
 
     def r1(self, t):
@@ -831,7 +811,7 @@ class TwistCalculus:
         out = TensorElement(self.aside.algebra, self.bside.algebra)
         for (r, s), block in t.blocks.items():
             for (j, i), c in block.items():
-                out = out.add(self.r_basis(r, j, s, i).scale(c))
+                out.accumulate(self.r_basis(r, j, s, i), c)
         return out
 
     def r_inv(self, t: TensorElement) -> TensorElement:
@@ -897,31 +877,23 @@ def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
                             a = aside.algebra.basis_element(s, i)
                             if wit1 is not None:
                                 break
-                            prod = b1 * b2
-                            lhs = TensorElement(bside.algebra, aside.algebra)
-                            for rr, bv in prod.comps.items():
-                                for jj, c in enumerate(bv):
-                                    if c:
-                                        lhs.add_term(rr, s, jj, i, c)
-                            lhs = twist.r(lhs)
-                            inner = TensorElement(bside.algebra, aside.algebra)
-                            inner.add_term(r2c, s, j2, i, ONE)
-                            step = twist.r(inner)  # A (x) B
+                            lhs = twist.r(TensorElement.of_pair(b1 * b2, a))
+                            step = twist.r(TensorElement.of_pair(b2, a))  # A (x) B
                             rhs = TensorElement(aside.algebra, bside.algebra)
                             for (s2, v2), block in step.blocks.items():
                                 for (i2, k2), c in block.items():
-                                    part = TensorElement(bside.algebra, aside.algebra)
-                                    part.add_term(r1c, s2, j1, i2, ONE)
-                                    moved = twist.r(part)
-                                    moved = moved.mul_leg2_right(
+                                    part = TensorElement.of_pair(
+                                        b1, aside.algebra.basis_element(s2, i2))
+                                    moved = twist.r(part).mul_leg2_right(
                                         bside.algebra.basis_element(v2, k2)
                                     )
-                                    rhs = rhs.add(moved.scale(c))
+                                    rhs.accumulate(moved, c)
                             if lhs != rhs:
                                 wit1 = "b=(%s,%d) b'=(%s,%d) a=(%s,%d)" % (
                                     g.encode(r1c), j1, g.encode(r2c), j2, g.encode(s), i)
     for r1c in window.elements:
         for j1 in range(bside.algebra.dim(r1c)):
+            b1 = bside.algebra.basis_element(r1c, j1)
             for s1 in window.elements:
                 for i1 in range(aside.algebra.dim(s1)):
                     a1 = aside.algebra.basis_element(s1, i1)
@@ -930,26 +902,17 @@ def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
                             if wit2 is not None:
                                 break
                             a2 = aside.algebra.basis_element(s2, i2)
-                            prod = a1 * a2
-                            lhs = TensorElement(bside.algebra, aside.algebra)
-                            for ss, av in prod.comps.items():
-                                for ii, c in enumerate(av):
-                                    if c:
-                                        lhs.add_term(r1c, ss, j1, ii, c)
-                            lhs = twist.r(lhs)
-                            inner = TensorElement(bside.algebra, aside.algebra)
-                            inner.add_term(r1c, s1, j1, i1, ONE)
-                            step = twist.r(inner)  # A (x) B
+                            lhs = twist.r(TensorElement.of_pair(b1, a1 * a2))
+                            step = twist.r(TensorElement.of_pair(b1, a1))  # A (x) B
                             rhs = TensorElement(aside.algebra, bside.algebra)
                             for (sa, rb), block in step.blocks.items():
                                 for (ia, jb), c in block.items():
-                                    part = TensorElement(bside.algebra, aside.algebra)
-                                    part.add_term(rb, s2, jb, i2, ONE)
-                                    moved = twist.r(part)
-                                    moved = moved.mul_leg1_left(
+                                    part = TensorElement.of_pair(
+                                        bside.algebra.basis_element(rb, jb), a2)
+                                    moved = twist.r(part).mul_leg1_left(
                                         aside.algebra.basis_element(sa, ia)
                                     )
-                                    rhs = rhs.add(moved.scale(c))
+                                    rhs.accumulate(moved, c)
                             if lhs != rhs:
                                 wit2 = "b=(%s,%d) a=(%s,%d) a'=(%s,%d)" % (
                                     g.encode(r1c), j1, g.encode(s1), i1, g.encode(s2), i2)
@@ -1038,16 +1001,8 @@ class DoubleStructure:
             else:
                 comp = alg.group.identity
                 local = self.flat_index(s, i, r, j)
-            cur = acc.setdefault(comp, {})
-            cur[local] = cur.get(local, ZERO) + c
-        return GradedElement(
-            alg,
-            {
-                pc: tuple(cur.get(k, ZERO) for k in range(alg.dim(pc)))
-                for pc, cur in acc.items()
-                if any(cur.values())
-            },
-        )
+            acc.setdefault(comp, {})[local] = c  # distinct terms have distinct indices
+        return alg.from_sparse(acc)
 
     def _local_b(self, r, j) -> int:
         return j
@@ -1072,14 +1027,7 @@ class DoubleStructure:
                 for (im, jm), c in block.items():
                     left = a1 * aside.algebra.basis_element(sm, im)
                     right = bside.algebra.basis_element(rm, jm) * b2
-                    for sp, av in left.comps.items():
-                        for rp, bv in right.comps.items():
-                            for ii, ca in enumerate(av):
-                                if not ca:
-                                    continue
-                                for jj, cb in enumerate(bv):
-                                    if cb:
-                                        out.add_term(sp, rp, ii, jj, c * ca * cb)
+                    out.accumulate_outer(left, right, c)
             self._mul_cache[key] = out
         return self._mul_cache[key]
 
@@ -1087,8 +1035,7 @@ class DoubleStructure:
         out = TensorElement(self.pairing.a_side.algebra, self.pairing.b_side.algebra)
         for s1, r1, i1, j1, c1 in t1.terms():
             for s2, r2, i2, j2, c2 in t2.terms():
-                prod = self._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
-                out = out.add(prod.scale(c1 * c2))
+                out.accumulate(self._basis_product((s1, i1, r1, j1, s2, i2, r2, j2)), c1 * c2)
         return out
 
     def embed_a(self, a: GradedElement) -> TensorElement:
@@ -1112,47 +1059,47 @@ class DoubleStructure:
         """
         key = (s, i, r, j)
         if key not in self._dbar_cache:
-            aside = self.pairing.a_side
-            bside = self.pairing.b_side
-            g = self.pairing.group
-            if self.deformed_delta is None:
-                self.deformed_delta = DeformedBlockDelta(bside.delta, self.action)
-            deformed = self.deformed_delta
-            acop = aside.delta.block_cols(s, s)[i]
-            da = aside.algebra.dim(s)
-            out: dict = {}
-            for q2 in self.twist.scan:
-                p2 = self.action.rho.apply(
-                    g.invert(q2), g.multiply(r, g.invert(q2))
-                )
-                cols = deformed.block_cols(p2, q2)
-                if cols is None:
-                    continue
-                db2 = bside.algebra.dim(q2)
-                for bidx, cb in cols[j].items():
-                    m1, m2 = divmod(bidx, db2)
-                    for aidx, ca in acop.items():
-                        k1, k2 = divmod(aidx, da)
-                        # co-opposite: the second A leg goes first
-                        left = self.dmul(
-                            self.embed_a(aside.algebra.basis_element(s, k2)),
-                            self.embed_b(bside.algebra.basis_element(p2, m1)),
-                        )
-                        right = self.dmul(
-                            self.embed_a(aside.algebra.basis_element(s, k1)),
-                            self.embed_b(bside.algebra.basis_element(q2, m2)),
-                        )
-                        coeff = ca * cb
-                        for f1, c1 in self.tensor_to_flat(left).items():
-                            for f2, c2 in self.tensor_to_flat(right).items():
-                                keypair = (f1, f2)
-                                val = out.get(keypair, ZERO) + coeff * c1 * c2
-                                if val:
-                                    out[keypair] = val
-                                else:
-                                    out.pop(keypair, None)
-            self._dbar_cache[key] = out
+            self._dbar_cache[key] = self._leg_products(s, i, r, j, b_first=False)
         return self._dbar_cache[key]
+
+    def _leg_products(self, s, i, r, j, b_first: bool) -> dict:
+        """Sum over the co-opposite A legs and the deformed B legs of the basis
+        vector (s, i, r, j) of the double products of the embedded legs, as a
+        dict over flat index pairs; ``b_first`` puts each B leg before its A
+        leg, which gives the reversed multiplier product."""
+        aside = self.pairing.a_side
+        bside = self.pairing.b_side
+        g = self.pairing.group
+        if self.deformed_delta is None:
+            self.deformed_delta = DeformedBlockDelta(bside.delta, self.action)
+        acop = aside.delta.block_cols(s, s)[i]
+        da = aside.algebra.dim(s)
+
+        def product(a, b):
+            ea, eb = self.embed_a(a), self.embed_b(b)
+            return self.dmul(eb, ea) if b_first else self.dmul(ea, eb)
+
+        out: dict = {}
+        for q2 in self.twist.scan:
+            p2 = self.action.rho.apply(g.invert(q2), g.multiply(r, g.invert(q2)))
+            cols = self.deformed_delta.block_cols(p2, q2)
+            if cols is None:
+                continue
+            db2 = bside.algebra.dim(q2)
+            for bidx, cb in cols[j].items():
+                m1, m2 = divmod(bidx, db2)
+                for aidx, ca in acop.items():
+                    k1, k2 = divmod(aidx, da)
+                    # co-opposite: the second A leg goes with the first B leg
+                    left = product(aside.algebra.basis_element(s, k2),
+                                   bside.algebra.basis_element(p2, m1))
+                    right = product(aside.algebra.basis_element(s, k1),
+                                    bside.algebra.basis_element(q2, m2))
+                    coeff = ca * cb
+                    flat_right = self.tensor_to_flat(right)
+                    for f1, c1 in self.tensor_to_flat(left).items():
+                        accumulate(out, (((f1, f2), c2) for f2, c2 in flat_right.items()), coeff * c1)
+        return out
 
     def sbar_tensor(self, s, i, r, j) -> TensorElement:
         """The antipode on a basis vector: R((pi S)(b) (x) S^-1(a))."""
@@ -1164,16 +1111,7 @@ class DoubleStructure:
         sb = self.action.component_map(g.invert(r)).apply(sb)
         a = aside.algebra.basis_element(s, i)
         sa_inv = aside.antipode.inverse_on(self.twist.scan).apply(a)
-        t = TensorElement(bside.algebra, aside.algebra)
-        for rr, bv in sb.comps.items():
-            for ss, av in sa_inv.comps.items():
-                for jj, cb in enumerate(bv):
-                    if not cb:
-                        continue
-                    for ii, ca in enumerate(av):
-                        if ca:
-                            t.add_term(rr, ss, jj, ii, cb * ca)
-        return self.twist.r(t)
+        return self.twist.r(TensorElement.of_pair(sb, sa_inv))
 
     def star_tensor(self, s, i, r, j) -> TensorElement:
         """The involution on a basis vector: R(b* (x) a*)."""
@@ -1181,16 +1119,7 @@ class DoubleStructure:
         aside = self.pairing.a_side
         bstar = bside.apply_star(bside.algebra.basis_element(r, j))
         astar = aside.apply_star(aside.algebra.basis_element(s, i))
-        t = TensorElement(bside.algebra, aside.algebra)
-        for rr, bv in bstar.comps.items():
-            for ss, av in astar.comps.items():
-                for jj, cb in enumerate(bv):
-                    if not cb:
-                        continue
-                    for ii, ca in enumerate(av):
-                        if ca:
-                            t.add_term(rr, ss, jj, ii, cb * ca)
-        return self.twist.r(t)
+        return self.twist.r(TensorElement.of_pair(bstar, astar))
 
 
 def _star_involution_witness(d: DoubleStructure, window: Window):
@@ -1202,7 +1131,7 @@ def _star_involution_witness(d: DoubleStructure, window: Window):
             once = d.star_tensor(s, i, r, j)
             twice = TensorElement(aside.algebra, bside.algebra)
             for s2, r2, i2, j2, c in once.terms():
-                twice = twice.add(d.star_tensor(s2, i2, r2, j2).scale(c.conj()))
+                twice.accumulate(d.star_tensor(s2, i2, r2, j2), c.conj())
             if twice != d.basis_tensor(s, i, r, j):
                 return "basis (%s,%d)(x)(%s,%d)" % (
                     g.encode(s), i, g.encode(r), j)
@@ -1404,9 +1333,6 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
 
     # coproduct compatibility with the twist, on all basis pairs
     witness = None
-    if d.deformed_delta is None:
-        d.deformed_delta = DeformedBlockDelta(bside.delta, d.action)
-    deformed = d.deformed_delta
     for (r, j) in d.b_basis:
         if witness:
             break
@@ -1414,42 +1340,8 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
             moved = d.twist.r_basis(r, j, s, i)
             lhs: dict = {}
             for sm, rm, im, jm, c in moved.terms():
-                for keypair, c2 in d.dbar(sm, im, rm, jm).items():
-                    val = lhs.get(keypair, ZERO) + c * c2
-                    if val:
-                        lhs[keypair] = val
-                    else:
-                        lhs.pop(keypair, None)
-            rhs: dict = {}
-            acop = aside.delta.block_cols(s, s)[i]
-            da = aside.algebra.dim(s)
-            for q2 in d.twist.scan:
-                p2 = d.action.rho.apply(g.invert(q2), g.multiply(r, g.invert(q2)))
-                cols = deformed.block_cols(p2, q2)
-                if cols is None:
-                    continue
-                db2 = bside.algebra.dim(q2)
-                for bidx, cb in cols[j].items():
-                    m1, m2 = divmod(bidx, db2)
-                    for aidx, ca in acop.items():
-                        k1, k2 = divmod(aidx, da)
-                        left = d.dmul(
-                            d.embed_b(bside.algebra.basis_element(p2, m1)),
-                            d.embed_a(aside.algebra.basis_element(s, k2)),
-                        )
-                        right = d.dmul(
-                            d.embed_b(bside.algebra.basis_element(q2, m2)),
-                            d.embed_a(aside.algebra.basis_element(s, k1)),
-                        )
-                        coeff = ca * cb
-                        for f1, c1 in d.tensor_to_flat(left).items():
-                            for f2, c2 in d.tensor_to_flat(right).items():
-                                keypair = (f1, f2)
-                                val = rhs.get(keypair, ZERO) + coeff * c1 * c2
-                                if val:
-                                    rhs[keypair] = val
-                                else:
-                                    rhs.pop(keypair, None)
+                accumulate(lhs, d.dbar(sm, im, rm, jm), c)
+            rhs = d._leg_products(s, i, r, j, b_first=True)
             if lhs != rhs:
                 witness = "b=(%s,%d) a=(%s,%d)" % (g.encode(r), j, g.encode(s), i)
                 break
@@ -1479,10 +1371,7 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
                     for (jb, ia), c in block.items():
                         mid = aside.algebra.basis_element(sa, ia) * a2
                         part = TensorElement(bside.algebra, aside.algebra)
-                        for sm, av in mid.comps.items():
-                            for im, cm in enumerate(av):
-                                if cm:
-                                    part.add_term(rb, sm, jb, im, cm * c)
+                        part.accumulate_outer(bside.algebra.basis_element(rb, jb), mid, c)
                         mids1.append(d.twist.r(part))
                 for (r2, j2) in d.b_basis:
                     primary = d._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
@@ -1490,7 +1379,7 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
                     b2 = bside.algebra.basis_element(r2, j2)
                     alt1 = TensorElement(aside.algebra, bside.algebra)
                     for moved in mids1:
-                        alt1 = alt1.add(moved.mul_leg2_right(b2))
+                        alt1.accumulate(moved.mul_leg2_right(b2))
                     if alt1 != primary:
                         witness = "variant-1 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
                             g.encode(s1), i1, g.encode(r1), j1,
@@ -1505,11 +1394,8 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
                         for (jb, ia), c in block.items():
                             mid = b1 * bside.algebra.basis_element(rb, jb)
                             part = TensorElement(bside.algebra, aside.algebra)
-                            for rm, bv in mid.comps.items():
-                                for jm, cm in enumerate(bv):
-                                    if cm:
-                                        part.add_term(rm, sa, jm, ia, cm * c)
-                            alt2 = alt2.add(d.twist.r(part).mul_leg1_left(a1))
+                            part.accumulate_outer(mid, aside.algebra.basis_element(sa, ia), c)
+                            alt2.accumulate(d.twist.r(part).mul_leg1_left(a1))
                     if alt2 != primary:
                         witness = "variant-2 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
                             g.encode(s1), i1, g.encode(r1), j1,

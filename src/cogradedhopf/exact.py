@@ -207,6 +207,27 @@ def vec_is_zero(x: Vector) -> bool:
     return all(not a for a in x)
 
 
+def accumulate(acc: dict, row, scale=None) -> None:
+    """Add ``scale`` times a sparse row into ``acc`` in place, pruning zeros.
+
+    ``row`` is a dict or an iterable of (key, coefficient) pairs; ``scale``
+    defaults to one. A key whose sum cancels is removed, so sparse results
+    never hold a zero and compare as dicts.
+    """
+    if isinstance(row, dict):
+        row = row.items()
+    for k, c in row:
+        if scale is not None:
+            c = scale * c
+        old = acc.get(k)
+        if old is not None:
+            c = old + c
+        if c:
+            acc[k] = c
+        elif old is not None:
+            del acc[k]
+
+
 def kron_index(i: int, j: int, dim2: int) -> int:
     """Index of e_i (x) f_j in the row-major tensor basis."""
     return i * dim2 + j
@@ -265,6 +286,13 @@ class Matrix:
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
+
+    def sparse_columns(self) -> list:
+        """The columns as sparse dicts row -> nonzero entry."""
+        return [
+            {i: row[j] for i, row in enumerate(self.entries) if row[j]}
+            for j in range(self.cols)
+        ]
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)

@@ -32,6 +32,7 @@ from .exact import (
     ONE,
     ZERO,
     Matrix,
+    accumulate,
     hermitian_psd,
     inverse,
     is_bijective,
@@ -169,20 +170,6 @@ class BlockComultiplication:
         return False
 
 
-def _matrix_to_cols(m: Optional[Matrix]) -> Optional[list]:
-    if m is None:
-        return None
-    cols = []
-    for j in range(m.cols):
-        col = {}
-        for i in range(m.rows):
-            c = m.entries[i][j]
-            if c:
-                col[i] = c
-        cols.append(col)
-    return cols
-
-
 class CogradedBlockDelta(BlockComultiplication):
     """Standard cograded indexing: the block at (p, q) has source p*q.
 
@@ -197,7 +184,7 @@ class CogradedBlockDelta(BlockComultiplication):
         raw = self.block_fn(p, q)
         if raw is None or isinstance(raw, list):
             return raw
-        return _matrix_to_cols(raw)
+        return raw.sparse_columns()
 
     def source(self, p, q):
         return self.algebra.group.multiply(p, q)
@@ -224,7 +211,7 @@ class DiagonalDelta(BlockComultiplication):
         raw = self.diag_fn(p)
         if raw is None or isinstance(raw, list):
             return raw
-        return _matrix_to_cols(raw)
+        return raw.sparse_columns()
 
     def source(self, p, q):
         return p
@@ -282,16 +269,15 @@ class MhaStructure:
 
     # -- finite parts of Delta(x) ---------------------------------------------
 
-    def _accumulate_block(self, out: TensorElement, p, q, xv) -> None:
+    def accumulate_block(self, out: TensorElement, p, q, xv) -> None:
+        """In place: add the (p, q) block of Delta(x) to ``out``; xv is x in the source component."""
         cols = self.delta.block_cols(p, q)
         if cols is None:
             return
         dq = self.algebra.dim(q)
-        for i, a in enumerate(xv):
-            if not a:
-                continue
-            for idx, c in cols[i].items():
-                out.add_term(p, q, idx // dq, idx % dq, a * c)
+        out.add_block(p, q, (
+            (divmod(idx, dq), a * c) for i, a in enumerate(xv) if a for idx, c in cols[i].items()
+        ))
 
     def delta_part_by_second(self, x: GradedElement, seconds) -> TensorElement:
         """The blocks of Delta(x) whose second index lies in ``seconds``."""
@@ -299,12 +285,12 @@ class MhaStructure:
         out = TensorElement(alg, alg)
         if self.delta.diagonal:
             for r, xv in x.comps.items():
-                self._accumulate_block(out, r, r, xv)
+                self.accumulate_block(out, r, r, xv)
             return out
         for r, xv in x.comps.items():
             for q in seconds:
                 for p in self.delta.firsts_for(r, q):
-                    self._accumulate_block(out, p, q, xv)
+                    self.accumulate_block(out, p, q, xv)
         return out
 
     def delta_part_by_first(self, x: GradedElement, firsts, scan) -> TensorElement:
@@ -316,7 +302,7 @@ class MhaStructure:
         for r, xv in x.comps.items():
             for p in firsts:
                 for q in self.delta.seconds_for(r, p, scan):
-                    self._accumulate_block(out, p, q, xv)
+                    self.accumulate_block(out, p, q, xv)
         return out
 
     # -- multiplier cut-downs ---------------------------------------------------
@@ -466,8 +452,7 @@ def check_t1_t2(h: MhaStructure, window: Window) -> CertificateReport:
                         cols.append({})
                         continue
                     part = TensorElement(alg, alg)
-                    for idx, c in block_cols[j].items():
-                        part.add_term(p, q, idx // dq, idx % dq, c)
+                    part.add_block(p, q, ((divmod(idx, dq), c) for idx, c in block_cols[j].items()))
                     t = part.mul_leg1_left(x)
                     cols.append(_flatten_tensor_block(t, p, q, dq))
             ok = dp * ds == dp * dq and rank_of_sparse_columns(cols, dp * dq) == dp * ds
@@ -497,20 +482,12 @@ def check_coassociativity(h: MhaStructure, window: Window) -> CertificateReport:
                     d2 = alg.dim(p)
                     d3 = alg.dim(q)
                     for (a, b), c in block.items():
-                        for idx, cc in cols_p[a].items():
-                            key = ((p, p, q), (idx // d2, idx % d2, b))
-                            val = left.get(key, ZERO) + c * cc
-                            if val:
-                                left[key] = val
-                            else:
-                                left.pop(key, None)
-                        for idx, cc in cols_q[b].items():
-                            key = ((p, q, q), (a, idx // d3, idx % d3))
-                            val = right.get(key, ZERO) + c * cc
-                            if val:
-                                right[key] = val
-                            else:
-                                right.pop(key, None)
+                        accumulate(left, (
+                            (((p, p, q), divmod(idx, d2) + (b,)), cc) for idx, cc in cols_p[a].items()
+                        ), c)
+                        accumulate(right, (
+                            (((p, q, q), (a,) + divmod(idx, d3)), cc) for idx, cc in cols_q[b].items()
+                        ), c)
                 if left != right:
                     witness = "basis (%s, %d)" % (g.encode(r), i)
                     break
@@ -541,24 +518,16 @@ def check_coassociativity(h: MhaStructure, window: Window) -> CertificateReport:
             if outer_l is not None and inner_l is not None:
                 for idx, c in outer_l[i].items():
                     a, b = divmod(idx, dr)
-                    for idx2, c2 in inner_l[a].items():
-                        key = (idx2 // dq, idx2 % dq, b)
-                        val = left.get(key, ZERO) + c * c2
-                        if val:
-                            left[key] = val
-                        else:
-                            left.pop(key, None)
+                    accumulate(left, (
+                        (divmod(idx2, dq) + (b,), c2) for idx2, c2 in inner_l[a].items()
+                    ), c)
             right: dict = {}
             if outer_r is not None and inner_r is not None:
                 for idx, c in outer_r[i].items():
                     a, b = divmod(idx, d_sqr)
-                    for idx2, c2 in inner_r[b].items():
-                        key = (a, idx2 // dr, idx2 % dr)
-                        val = right.get(key, ZERO) + c * c2
-                        if val:
-                            right[key] = val
-                        else:
-                            right.pop(key, None)
+                    accumulate(right, (
+                        ((a,) + divmod(idx2, dr), c2) for idx2, c2 in inner_r[b].items()
+                    ), c)
             if left != right:
                 witness = "basis %d of source %s" % (i, g.encode(src_left))
                 break

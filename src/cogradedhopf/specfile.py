@@ -21,6 +21,7 @@ from .algebras import COGRADED, GRADED, ComponentAlgebra, GradedAlgebra
 from .cograded import Action
 from .exact import GR, Matrix, ZERO
 from .groups import (
+    GroupAxiomError,
     GroupOracle,
     GroupSelfAction,
     Window,
@@ -52,7 +53,7 @@ def _scalar(s) -> GR:
         return GR(s)
     try:
         return GR.parse(s)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpecFormatError("bad scalar %r: %s" % (s, exc))
 
 
@@ -61,6 +62,14 @@ def _matrix(rows, section: str) -> Matrix:
         return Matrix.from_rows([[_scalar(x) for x in row] for row in rows])
     except (ValueError, SpecFormatError) as exc:
         raise SpecFormatError("bad matrix in %s: %s" % (section, exc))
+
+
+def _shaped(m: Matrix, rows: int, cols: int, what: str) -> Matrix:
+    if (m.rows, m.cols) != (rows, cols):
+        raise SpecFormatError(
+            "%s has shape %dx%d, expected %dx%d" % (what, m.rows, m.cols, rows, cols)
+        )
+    return m
 
 
 def _matrix_out(m: Matrix) -> list:
@@ -116,9 +125,19 @@ def _group_from_doc(doc: dict) -> GroupOracle:
     if kind == "table":
         elements = section.get("elements")
         table = section.get("table")
-        if not elements or table is None:
+        if not isinstance(elements, list) or not elements or not isinstance(table, list):
             raise SpecFormatError("table group needs elements and table")
-        return finite_group_from_table(elements, table, name=doc.get("label", ""))
+        n = len(elements)
+        if len(table) != n or any(not isinstance(row, list) or len(row) != n for row in table):
+            raise SpecFormatError("group table must be %dx%d" % (n, n))
+        for row in table:
+            for k in row:
+                if type(k) is not int or not 0 <= k < n:
+                    raise SpecFormatError("group table entry %r is not an index below %d" % (k, n))
+        try:
+            return finite_group_from_table(elements, table, name=doc.get("label", ""))
+        except GroupAxiomError as exc:
+            raise SpecFormatError("group table: %s" % exc)
     raise SpecFormatError("unknown group kind %r" % kind)
 
 
@@ -185,6 +204,11 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
             constants = [
                 [[_scalar(c) for c in row] for row in plane] for plane in structure
             ]
+            if len(constants) != dim:
+                raise SpecFormatError(
+                    "component %s declares dim %d but its structure constants have dim %d"
+                    % (g.encode(p), dim, len(constants))
+                )
             return ComponentAlgebra.from_structure_constants(
                 constants,
                 unit=[_scalar(c) for c in unit] if unit else None,
@@ -227,22 +251,31 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
         raise SpecFormatError("missing delta section")
     if mode == COGRADED:
         def delta_block(p, q):
-            raw = _section_lookup(
-                delta_section, "%s|%s" % (g.encode(p), g.encode(q)), "delta block"
+            key = "%s|%s" % (g.encode(p), g.encode(q))
+            raw = _section_lookup(delta_section, key, "delta block")
+            return _shaped(
+                _matrix(raw, "delta"), algebra.dim(p) * algebra.dim(q),
+                algebra.dim(g.multiply(p, q)), "delta block %s" % key,
             )
-            return _matrix(raw, "delta")
 
         delta = CogradedBlockDelta(algebra, delta_block)
     else:
         def diag_block(p):
             raw = _section_lookup(delta_section, g.encode(p), "delta block")
-            return _matrix(raw, "delta")
+            d = algebra.dim(p)
+            return _shaped(_matrix(raw, "delta"), d * d, d, "delta block %s" % g.encode(p))
 
         delta = DiagonalDelta(algebra, diag_block)
 
     counit_section = doc.get("counit")
     if not isinstance(counit_section, dict):
         raise SpecFormatError("missing counit section")
+    for key in counit_section:
+        if key != "default":
+            try:
+                g.decode(key)
+            except (KeyError, ValueError):
+                raise SpecFormatError("counit names unknown element %r" % key)
 
     def counit_fn(p):
         key = g.encode(p)
@@ -258,7 +291,8 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
 
     def antipode_fn(p):
         raw = _section_lookup(antipode_section, g.encode(p), "antipode")
-        return g.invert(p), _matrix(raw, "antipode")
+        return g.invert(p), _shaped(_matrix(raw, "antipode"), algebra.dim(g.invert(p)),
+                                    algebra.dim(p), "antipode block %s" % g.encode(p))
 
     star_section = doc.get("star")
     star = None
@@ -266,7 +300,8 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
         def star_fn(p):
             raw = _section_lookup(star_section, g.encode(p), "star")
             target = p if mode == COGRADED else g.invert(p)
-            return target, _matrix(raw, "star")
+            return target, _shaped(_matrix(raw, "star"), algebra.dim(target), algebra.dim(p),
+                                   "star block %s" % g.encode(p))
 
         star = ComponentMap(algebra, algebra, star_fn, antilinear=True, label="*")
 

@@ -130,6 +130,68 @@ def test_all_ones_multiplier_on_kz():
     assert ones.times(d3, "left") == d3
 
 
+def c2_algebra(group):
+    """Cograded: every component is the group algebra of Z2."""
+    shared = ComponentAlgebra.from_structure_constants(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], unit=[1, 0]
+    )
+    return GradedAlgebra(group=group, mode=COGRADED, component_fn=lambda p: shared)
+
+
+def graded_c2_algebra(group):
+    """Graded: (u_p (x) e_i)(u_q (x) e_j) = u_pq (x) e_(i+j mod 2)."""
+    block = Matrix.from_rows([[1, 0, 0, 1], [0, 1, 1, 0]])
+    return GradedAlgebra(
+        group=group, mode=GRADED, component_fn=lambda p: ComponentAlgebra(2),
+        block_fn=lambda p, q: block, unit_components={group.identity: (ONE, ZERO)},
+    )
+
+
+def assert_leg_routines(alg, window):
+    """Every leg routine against its definition, on basis tensors and a sum."""
+    g = alg.group
+    basis = [x for (_, _, x) in alg.basis_on(window)]
+    generic = basis[0].scale(GR(2, -1)) + basis[-1].scale(GR(-3, 4))
+    factors = basis + [generic]
+    cov = {p: (GR(1, 1), GR(-2))[:alg.dim(p)] for p in window.elements}
+
+    def family(p):
+        d = alg.dim(p)
+        return g.invert(p), Matrix.from_rows(
+            [[GR(r - c + 1, r * c - 1) for c in range(d)] for r in range(d)])
+
+    def mapped(x):
+        (p, v), = x.comps.items()
+        target, m = family(p)
+        return alg.element({target: m.apply(v)})
+
+    def collapsed(x):
+        (p, v), = x.comps.items()
+        return sum((c * w for c, w in zip(cov[p], v)), ZERO)
+
+    for x in basis:
+        for z in basis:
+            t = TensorElement.of_pair(x, z)
+            for y in factors:
+                assert t.mul_leg1_left(y) == TensorElement.of_pair(y * x, z)
+                assert t.mul_leg1_right(y) == TensorElement.of_pair(x * y, z)
+                assert t.mul_leg2_left(y) == TensorElement.of_pair(x, y * z)
+                assert t.mul_leg2_right(y) == TensorElement.of_pair(x, z * y)
+            assert t.apply_covector_leg1(cov.get) == z.scale(collapsed(x))
+            assert t.apply_covector_leg2(cov.get) == x.scale(collapsed(z))
+            assert t.map_leg1(family) == TensorElement.of_pair(mapped(x), z)
+            assert t.map_leg2(family) == TensorElement.of_pair(x, mapped(z))
+    # linearity in the tensor: a sum of basis tensors with complex weights
+    t = TensorElement.of_pair(generic, basis[1]).add(TensorElement.of_pair(basis[2], generic))
+    for y in factors:
+        want = TensorElement.of_pair(generic, basis[1] * y).add(
+            TensorElement.of_pair(basis[2], generic * y))
+        assert t.mul_leg2_right(y) == want
+        want = TensorElement.of_pair(y * generic, basis[1]).add(
+            TensorElement.of_pair(y * basis[2], generic))
+        assert t.mul_leg1_left(y) == want
+
+
 def test_tensor_element_leg_operations():
     g = cyclic_group(2)
     b = kg_algebra(g)
@@ -140,6 +202,26 @@ def test_tensor_element_leg_operations():
     assert t.flip() == TensorElement.of_pair(y, x)
     assert t.mul_leg2_right(x).is_zero()  # cograded: components clash
     assert (t - t).is_zero()
+    s3 = s3_group()
+    assert_leg_routines(c2_algebra(s3), Window.of(s3, ["e", "(12)", "(123)"]))
+    assert_leg_routines(graded_c2_algebra(s3), Window.of(s3, ["e", "(12)", "(123)"]))
+    assert_leg_routines(group_algebra(s3), Window.full(s3))
+    with pytest.raises(ValueError):
+        t.mul_leg1_left(c2_algebra(g).basis_element("e", 0))
+
+
+def test_tensor_accumulate_never_stores_a_zero():
+    b = c2_algebra(cyclic_group(2))
+    x = b.element({"e": [1, 2], "g1": [0, 1]})
+    y = b.element({"e": [GR(0, 1), 1]})
+    t = TensorElement.of_pair(x, y)
+    t.accumulate(TensorElement.of_pair(b.element({"e": [1, 0]}), y), GR(-1))
+    # the (e, e) terms with first index 0 cancel; the block itself survives
+    assert all(c for block in t.blocks.values() for c in block.values())
+    assert t == TensorElement.of_pair(b.element({"e": [0, 2], "g1": [0, 1]}), y)
+    t.accumulate_outer(x, y, GR(-1))
+    t.accumulate_outer(b.element({"e": [1, 0]}), y)
+    assert t.blocks == {} and t == TensorElement.zero(b, b)
 
 
 def test_tensor_contract_product():

@@ -204,3 +204,88 @@ def test_double_from_spec_files_matches_builtin(tmp_path, capsys):
     doc = load_spec_file(str(out_a))
     assert doc["mode"] == "cograded"
     assert doc["group"]["elements"] == ["e"]  # trivial action: ungraded double
+
+
+# The function algebra on a two-element group, as in the README.
+KG_Z2_SPEC = {
+    "format": "cogradedhopf-1",
+    "label": "kg-Z2",
+    "mode": "cograded",
+    "group": {"kind": "table", "elements": ["e", "g1"], "table": [[0, 1], [1, 0]]},
+    "components": {"default": {"dim": 1, "structure": [[["1"]]], "unit": ["1"], "star": [["1"]]}},
+    "delta": {"default": [["1"]]},
+    "counit": {"e": ["1"], "g1": ["0"]},
+    "antipode": {"default": [["1"]]},
+    "star": {"default": [["1"]]},
+}
+
+
+def verify_spec(tmp_path, capsys, edit):
+    """Verify a copy of the README spec changed by ``edit``; returns (status, stderr)."""
+    doc = json.loads(json.dumps(KG_Z2_SPEC))
+    edit(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_readme_spec_verifies(tmp_path, capsys):
+    assert verify_spec(tmp_path, capsys, lambda doc: None) == (0, "")
+
+
+def test_division_by_zero_scalar_is_a_spec_error(tmp_path, capsys):
+    code, err = verify_spec(tmp_path, capsys, lambda doc: doc["counit"].update(e=["1/0"]))
+    assert code == 2
+    assert "bad scalar '1/0'" in err
+
+
+def test_string_in_group_table_is_a_spec_error(tmp_path, capsys):
+    code, err = verify_spec(
+        tmp_path, capsys, lambda doc: doc["group"].update(table=[[0, "1"], [1, 0]]))
+    assert code == 2
+    assert "group table" in err
+
+
+def test_ragged_group_table_is_a_spec_error(tmp_path, capsys):
+    code, err = verify_spec(
+        tmp_path, capsys, lambda doc: doc["group"].update(table=[[0, 1], [1]]))
+    assert code == 2
+    assert "group table" in err
+
+
+def test_delta_block_shape_is_checked(tmp_path, capsys):
+    code, err = verify_spec(
+        tmp_path, capsys, lambda doc: doc["delta"].update(default=[["1", "0"]]))
+    assert code == 2
+    assert "delta block e|e has shape 1x2, expected 1x1" in err
+
+
+def test_antipode_block_shape_is_checked(tmp_path, capsys):
+    code, err = verify_spec(
+        tmp_path, capsys, lambda doc: doc["antipode"].update(default=[["1"], ["0"]]))
+    assert code == 2
+    assert "antipode block e has shape 2x1, expected 1x1" in err
+
+
+def test_declared_dim_must_match_structure_constants(tmp_path, capsys):
+    code, err = verify_spec(
+        tmp_path, capsys, lambda doc: doc["components"]["default"].update(dim=3))
+    assert code == 2
+    assert "declares dim 3" in err
+
+
+def test_unknown_counit_key_is_a_spec_error(tmp_path, capsys):
+    code, err = verify_spec(tmp_path, capsys, lambda doc: doc["counit"].update(g2=["0"]))
+    assert code == 2
+    assert "counit names unknown element 'g2'" in err
+
+
+def test_graded_delta_block_shape_is_checked(tmp_path, capsys):
+    doc = structure_to_doc(make_group_algebra(cyclic_group(2)))
+    doc["delta"]["g1"] = [["1"], ["0"]]
+    path = tmp_path / "graded.json"
+    save_spec(str(path), doc)
+    code = main(["verify", str(path)])
+    assert code == 2
+    assert "delta block g1 has shape 2x1, expected 1x1" in capsys.readouterr().err
