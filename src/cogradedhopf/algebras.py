@@ -32,18 +32,12 @@ from .exact import (
 from .groups import GroupOracle, Window
 
 
-def _nonzero(v) -> list:
-    """The (index, coefficient) pairs of the nonzero entries of a vector."""
-    return [(i, a) for i, a in enumerate(v) if a]
+def _bilinear(out: dict, table: dict, xs, ys) -> dict:
+    """The sparse bilinear product: add the sum of x_i y_j table[(i, j)] to out.
 
-
-def _bilinear(table: dict, xs, ys) -> dict:
-    """The sparse bilinear product: the sum of x_i y_j table[(i, j)].
-
-    ``xs`` and ``ys`` are lists of (index, coefficient) pairs and ``table``
-    maps index pairs to sparse rows {k: coeff}.
+    ``xs`` and ``ys`` are iterables of (index, coefficient) pairs and
+    ``table`` maps index pairs to sparse rows {k: coeff}. Returns ``out``.
     """
-    out: dict = {}
     for i, xi in xs:
         for j, yj in ys:
             entry = table.get((i, j))
@@ -56,9 +50,10 @@ class ComponentAlgebra:
     """A finite-dimensional algebra given by structure constants.
 
     ``products[(i, j)]`` maps basis-index pairs to the sparse expansion of
-    e_i * e_j. ``unit`` is the coefficient vector of the unit when the
+    e_i * e_j. ``unit`` is the dense coefficient vector of the unit when the
     component has one, ``star`` the matrix of an antilinear involution
-    (apply as star_matrix @ conj(v)).
+    (apply as star_matrix @ conj(v)). Vectors passed to the products, the
+    multiplication matrices and the star are sparse rows {k: coeff}.
     """
 
     def __init__(self, dim, products=None, unit=None, star=None):
@@ -100,30 +95,29 @@ class ComponentAlgebra:
             for i in range(self.dim)
         )
 
-    def product_vec(self, x, y) -> dict:
-        """Sparse product of two coefficient vectors (dict k -> scalar)."""
-        return _bilinear(self.products, _nonzero(x), _nonzero(y))
+    def product_vec(self, x: dict, y: dict) -> dict:
+        """Sparse product of two sparse rows."""
+        return _bilinear({}, self.products, x.items(), y.items())
 
-    def left_mult_matrix(self, x) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            prod = self.product_vec(x, ej)
-            cols.append(tuple(prod.get(k, ZERO) for k in range(self.dim)))
-        return Matrix.from_columns(cols)
+    def left_mult_matrix(self, x: dict) -> Matrix:
+        """The matrix of y -> x y."""
+        return self._matrix_of([self.product_vec(x, {j: ONE}) for j in range(self.dim)])
 
-    def right_mult_matrix(self, x) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            prod = self.product_vec(ej, x)
-            cols.append(tuple(prod.get(k, ZERO) for k in range(self.dim)))
-        return Matrix.from_columns(cols)
+    def right_mult_matrix(self, x: dict) -> Matrix:
+        """The matrix of y -> y x."""
+        return self._matrix_of([self.product_vec({j: ONE}, x) for j in range(self.dim)])
 
-    def apply_star(self, v):
+    def _matrix_of(self, cols: list) -> Matrix:
+        return Matrix.from_columns([[col.get(k, ZERO) for k in range(self.dim)] for col in cols])
+
+    def apply_star(self, v: dict) -> dict:
         if self.star is None:
             raise ValueError("component has no star structure")
-        return self.star.apply(tuple(a.conj() for a in v))
+        out: dict = {}
+        cols = self.star.sparse_columns()
+        for k, c in v.items():
+            accumulate(out, cols[k], c.conj())
+        return out
 
     # -- invariant witnesses --------------------------------------------------
 
@@ -161,11 +155,11 @@ class ComponentAlgebra:
     def unit_witness(self) -> Optional[str]:
         if self.unit is None:
             return "component has no unit"
+        unit = {k: c for k, c in enumerate(self.unit) if c}
         for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            left = self.product_vec(self.unit, ej)
-            right = self.product_vec(ej, self.unit)
             expected = {j: ONE}
+            left = self.product_vec(unit, expected)
+            right = self.product_vec(expected, unit)
             if left != expected:
                 return "unit * e%d != e%d" % (j, j)
             if right != expected:
@@ -178,14 +172,11 @@ class ComponentAlgebra:
         # involutive: star(star(v)) = v, i.e. S conj(S) = identity
         if self.star.matmul(self.star.conj()) != Matrix.identity(self.dim):
             return "star is not involutive"
+        starred = self.star.sparse_columns()  # the star of e_j is column j
         for i in range(self.dim):
             for j in range(self.dim):
-                ei = tuple(ONE if t == i else ZERO for t in range(self.dim))
-                ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-                prod = self.product_vec(ei, ej)
-                lhs = self.apply_star(tuple(prod.get(k, ZERO) for k in range(self.dim)))
-                rhs = self.product_vec(self.apply_star(ej), self.apply_star(ei))
-                if {k: c for k, c in enumerate(lhs) if c} != rhs:
+                lhs = self.apply_star(self.products.get((i, j), {}))
+                if lhs != self.product_vec(starred[j], starred[i]):
                     return "(e%d e%d)* != e%d* e%d*" % (i, j, j, i)
         return None
 
@@ -211,7 +202,6 @@ class GradedAlgebra:
     unit_components: Optional[Dict] = None  # graded mode: the global unit, p -> vec
     label: str = ""
     _components: dict = field(default_factory=dict, repr=False)
-    _blocks: dict = field(default_factory=dict, repr=False)
     _block_sparse: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -256,44 +246,21 @@ class GradedAlgebra:
         self._block_sparse[key] = table
         return table
 
-    def product_block(self, p, q) -> Matrix:
-        """Dense matrix of B_p (x) B_q -> B_{pq} (zero off-diagonal in cograded mode)."""
-        key = (p, q)
-        if key in self._blocks:
-            return self._blocks[key]
-        dp, dq = self.dim(p), self.dim(q)
-        dt = self.dim(self.product_target(p, q))
-        table = self.product_block_sparse(p, q)
-        rows = [[ZERO] * (dp * dq) for _ in range(dt)]
-        for (i, j), entry in table.items():
-            for k, c in entry.items():
-                rows[k][i * dq + j] = c
-        m = Matrix.from_rows(rows)
-        self._blocks[key] = m
-        return m
-
-    def multiply_vectors(self, p, q, x, y) -> "tuple[object, dict]":
-        """Product of component vectors; returns (target element, sparse dict)."""
-        table = self.product_block_sparse(p, q)
-        return self.product_target(p, q), _bilinear(table, _nonzero(x), _nonzero(y))
-
     # -- elements -------------------------------------------------------------
 
     def zero(self) -> "GradedElement":
         return GradedElement(self, {})
 
     def from_sparse(self, acc: dict) -> "GradedElement":
-        """The element whose p-component is the sparse row acc[p] = {k: coeff}."""
-        return GradedElement(
-            self,
-            {
-                p: tuple(cur.get(k, ZERO) for k in range(self.dim(p)))
-                for p, cur in acc.items()
-                if cur
-            },
-        )
+        """The element whose p-component is the sparse row acc[p] = {k: coeff}.
+
+        The rows must hold no zero coefficient; empty rows are dropped. The
+        element takes the rows over, so the caller must not change them.
+        """
+        return GradedElement(self, {p: row for p, row in acc.items() if row})
 
     def element(self, comps: dict) -> "GradedElement":
+        """The element with the given dense component vectors."""
         cooked = {}
         for p, v in comps.items():
             vec = vector(v)
@@ -302,15 +269,14 @@ class GradedAlgebra:
                     "component %s has dim %d, got vector of length %d"
                     % (self.group.encode(p), self.dim(p), len(vec))
                 )
-            if any(vec):
-                cooked[p] = vec
-        return GradedElement(self, cooked)
+            cooked[p] = {k: c for k, c in enumerate(vec) if c}
+        return self.from_sparse(cooked)
 
     def basis_element(self, p, i: int) -> "GradedElement":
         d = self.dim(p)
         if not (0 <= i < d):
             raise ValueError("basis index %d out of range for dim %d" % (i, d))
-        return GradedElement(self, {p: tuple(ONE if t == i else ZERO for t in range(d))})
+        return GradedElement(self, {p: {i: ONE}})
 
     def basis_on(self, window) -> list:
         """All (p, i, element) triples over the window, in window order."""
@@ -328,9 +294,8 @@ class GradedAlgebra:
             for q, yv in y.comps.items():
                 if self.mode == COGRADED and p != q:
                     continue
-                target, prod = self.multiply_vectors(p, q, xv, yv)
-                if prod:
-                    accumulate(acc.setdefault(target, {}), prod)
+                _bilinear(acc.setdefault(self.product_target(p, q), {}),
+                          self.product_block_sparse(p, q), xv.items(), yv.items())
         return self.from_sparse(acc)
 
     def unit_multiplier(self) -> "GradedMultiplier":
@@ -360,21 +325,23 @@ class GradedAlgebra:
 
 @dataclass(frozen=True)
 class GradedElement:
-    """Finitely supported element; zero components are pruned (canonical)."""
+    """Finitely supported element.
+
+    ``comps[p]`` is the sparse row {k: coeff} of the p-component. No zero
+    coefficient and no empty component is stored, so equality is dict
+    equality. The rows are shared between elements and never mutated.
+    """
 
     algebra: GradedAlgebra
     comps: dict
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "comps", {p: v for p, v in self.comps.items() if any(v)}
-        )
-
     def support(self) -> tuple:
         return tuple(sorted(self.comps, key=self.algebra.group.sort_key))
 
-    def coeff(self, p):
-        return self.comps.get(p, (ZERO,) * self.algebra.dim(p))
+    def coeff(self, p) -> tuple:
+        """The dense coefficient vector of the p-component."""
+        row = self.comps.get(p, {})
+        return tuple(row.get(k, ZERO) for k in range(self.algebra.dim(p)))
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -390,17 +357,18 @@ class GradedElement:
         out = dict(self.comps)
         for p, v in other.comps.items():
             if p in out:
-                out[p] = tuple(a + b for a, b in zip(out[p], v))
+                row = out[p] = dict(out[p])
+                accumulate(row, v)
             else:
                 out[p] = v
-        return GradedElement(self.algebra, out)
+        return self.algebra.from_sparse(out)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
     def __neg__(self) -> "GradedElement":
         return GradedElement(
-            self.algebra, {p: tuple(-a for a in v) for p, v in self.comps.items()}
+            self.algebra, {p: {k: -a for k, a in v.items()} for p, v in self.comps.items()}
         )
 
     def scale(self, c) -> "GradedElement":
@@ -408,7 +376,7 @@ class GradedElement:
         if not c:
             return GradedElement(self.algebra, {})
         return GradedElement(
-            self.algebra, {p: tuple(c * a for a in v) for p, v in self.comps.items()}
+            self.algebra, {p: {k: c * a for k, a in v.items()} for p, v in self.comps.items()}
         )
 
     def __rmul__(self, c):
@@ -424,14 +392,6 @@ class GradedElement:
         return GradedElement(
             self.algebra, {p: v for p, v in self.comps.items() if p in keep}
         )
-
-    def describe(self) -> str:
-        g = self.algebra.group
-        parts = []
-        for p in self.support():
-            vec = self.comps[p]
-            parts.append("%s:(%s)" % (g.encode(p), ", ".join(str(a) for a in vec)))
-        return "{" + "; ".join(parts) + "}" if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -457,21 +417,11 @@ class GradedMultiplier:
             raise ValueError("multiplier action needs cograded mode")
         if x.algebra is not self.algebra:
             raise ValueError("element belongs to a different algebra")
-        out = {}
-        for p, v in x.comps.items():
-            mp = self.component(p)
-            if side == "left":
-                _, out[p] = self.algebra.multiply_vectors(p, p, mp, v)
-            elif side == "right":
-                _, out[p] = self.algebra.multiply_vectors(p, p, v, mp)
-            else:
-                raise ValueError("side must be 'left' or 'right'")
-        return self.algebra.from_sparse(out)
-
-    def equals_on(self, other: "GradedMultiplier", window) -> bool:
-        return all(
-            self.component(p) == other.component(p) for p in window.elements
-        )
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        # cograded products are componentwise: only the components of x matter
+        m = self.algebra.element({p: self.component(p) for p in x.comps})
+        return m * x if side == "left" else x * m
 
     def invertible_witness(self, window) -> Optional[str]:
         """Check invertibility on a window; returns a witness string or None.
@@ -482,16 +432,16 @@ class GradedMultiplier:
         """
         from .exact import is_bijective, rank_of_sparse_columns
 
+        elem = self.algebra.element({p: self.component(p) for p in window.elements})
         if self.algebra.mode == COGRADED:
             for p in window.elements:
                 comp = self.algebra.component(p)
-                mp = self.component(p)
+                mp = elem.comps.get(p, {})
                 if not is_bijective(comp.left_mult_matrix(mp)):
                     return "component %s not left invertible" % self.algebra.group.encode(p)
                 if not is_bijective(comp.right_mult_matrix(mp)):
                     return "component %s not right invertible" % self.algebra.group.encode(p)
             return None
-        elem = self.algebra.element({p: self.component(p) for p in window.elements})
         if elem.is_zero():
             return "zero multiplier"
         basis = self.algebra.basis_on(window)
@@ -500,23 +450,13 @@ class GradedMultiplier:
             row_index: dict = {}
             for (_, _, x) in basis:
                 prod = elem * x if side == "left" else x * elem
-                col = {}
-                for t, vec in prod.comps.items():
-                    for k, c in enumerate(vec):
-                        if c:
-                            key = row_index.setdefault((t, k), len(row_index))
-                            col[key] = c
-                cols.append(col)
+                cols.append({
+                    row_index.setdefault((t, k), len(row_index)): c
+                    for t, row in prod.comps.items() for k, c in row.items()
+                })
             if rank_of_sparse_columns(cols, len(row_index)) != len(cols):
                 return "%s multiplication not injective on the window" % side
         return None
-
-    def as_element(self) -> GradedElement:
-        if self.finite_support is None:
-            raise ValueError("multiplier has no declared finite support")
-        return self.algebra.element(
-            {p: self.component(p) for p in self.finite_support}
-        )
 
 
 class TensorElement:
@@ -561,10 +501,9 @@ class TensorElement:
     def accumulate_outer(self, x: GradedElement, y: GradedElement, c=None) -> None:
         """In place: self += c * (x (x) y), with c one by default."""
         for p, xv in x.comps.items():
-            xs = [(i, a if c is None else c * a) for i, a in enumerate(xv) if a]
+            xs = xv.items() if c is None else [(i, c * a) for i, a in xv.items()]
             for q, yv in y.comps.items():
-                ys = _nonzero(yv)
-                self.add_block(p, q, (((i, j), a * b) for i, a in xs for j, b in ys))
+                self.add_block(p, q, (((i, j), a * b) for i, a in xs for j, b in yv.items()))
 
     def add(self, other: "TensorElement") -> "TensorElement":
         out = self.copy()
@@ -658,20 +597,20 @@ class TensorElement:
             raise ValueError(
                 "%s leg lives in a different algebra" % ("first" if leg == 1 else "second")
             )
-        factors = [(s, _nonzero(yv)) for s, yv in y.comps.items()]
 
         def images(r):
-            for s, ys in factors:
+            for s, yv in y.comps.items():
                 if alg.mode == COGRADED and r != s:
                     continue
+                ys = yv.items()
                 if side == "left":
                     table = alg.product_block_sparse(s, r)
                     yield alg.product_target(s, r), (
-                        lambda m, c, t=table, ys=ys: _bilinear(t, ys, ((m, c),)))
+                        lambda m, c, t=table, ys=ys: _bilinear({}, t, ys, ((m, c),)))
                 else:
                     table = alg.product_block_sparse(r, s)
                     yield alg.product_target(r, s), (
-                        lambda m, c, t=table, ys=ys: _bilinear(t, ((m, c),), ys))
+                        lambda m, c, t=table, ys=ys: _bilinear({}, t, ((m, c),), ys))
 
         return self._on_leg(leg, images, alg)
 
@@ -745,8 +684,8 @@ def _matrix_images(family: Callable) -> Callable:
 
     def images(r):
         target, m = family(r)
-        rows = m.entries
-        yield target, lambda j, c: {k: c * row[j] for k, row in enumerate(rows) if row[j]}
+        cols = m.sparse_columns()
+        yield target, lambda j, c: {k: c * a for k, a in cols[j].items()}
 
     return images
 

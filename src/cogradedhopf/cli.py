@@ -94,17 +94,18 @@ def _resolve_pairing(args):
     if len(paths) != 2:
         raise SpecFormatError("--pair needs builtin:<name> or two paths")
     from .double import Pairing
-    from .specfile import _matrix, _section_lookup
+    from .specfile import _matrix, _object, _section_lookup
 
     a_loaded = load_structure(paths[0])
     b_loaded = load_structure(paths[1])
     section = b_loaded.pairing_section
     if section is None:
         raise SpecFormatError("second spec carries no pairing section")
+    forms = _object(_object(section, "pairing section").get("forms", {}), "pairing.forms")
     g = b_loaded.structure.group
 
     def form(p):
-        raw = _section_lookup(section.get("forms", {}), g.encode(p), "pairing form")
+        raw = _section_lookup(forms, g.encode(p), "pairing form")
         return _matrix(raw, "pairing.forms")
 
     label = "%s|%s" % (a_loaded.label, b_loaded.label)

@@ -503,7 +503,8 @@ def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) 
             alg.element({p: alg.component(p).unit}), alg.element({q: alg.component(q).unit})
         )
         got = TensorElement(alg, alg)
-        b.accumulate_block(got, p, q, alg.component(src).unit)
+        unit_src = alg.element({src: alg.component(src).unit})
+        b.accumulate_block(got, p, q, unit_src.comps.get(src, {}))
         if got != expected:
             witness = "block (%s,%s) of the unit family" % (g.encode(p), g.encode(q))
             break

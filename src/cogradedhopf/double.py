@@ -19,6 +19,7 @@ is what the finite-type double construction over a constant family needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional
 
 from .algebras import COGRADED, GRADED, ComponentAlgebra, GradedAlgebra, GradedElement, TensorElement
@@ -33,7 +34,6 @@ from .exact import (
     is_bijective,
     rank_of_sparse_columns,
     rational_sqrt,
-    vector,
 )
 from .groups import Window
 from .hopf import (
@@ -84,28 +84,25 @@ class Pairing:
             if bv is None:
                 continue
             f = self.form(p)
-            for i, ai in enumerate(av):
-                if not ai:
-                    continue
-                for j, bj in enumerate(bv):
-                    if bj and f.entries[i][j]:
-                        acc = acc + ai * f.entries[i][j] * bj
+            for i, ai in av.items():
+                row = f.entries[i]
+                for j, bj in bv.items():
+                    if row[j]:
+                        acc = acc + ai * row[j] * bj
         return acc
 
-    def covector_on_a(self, p, bvec):
-        """The functional <., b> restricted to A_p, as a covector."""
+    def covector_on_a(self, p, brow: dict):
+        """The functional <., b> restricted to A_p, as a covector; ``brow`` is
+        the sparse p-row of b."""
         f = self.form(p)
-        return tuple(
-            sum((f.entries[i][j] * bvec[j] for j in range(f.cols) if bvec[j]), ZERO)
-            for i in range(f.rows)
-        )
+        return tuple(sum((row[j] * c for j, c in brow.items()), ZERO) for row in f.entries)
 
-    def covector_on_b(self, p, avec):
-        """The functional <a, .> restricted to B_p, as a covector."""
+    def covector_on_b(self, p, arow: dict):
+        """The functional <a, .> restricted to B_p, as a covector; ``arow`` is
+        the sparse p-row of a."""
         f = self.form(p)
         return tuple(
-            sum((avec[i] * f.entries[i][j] for i in range(f.rows) if avec[i]), ZERO)
-            for j in range(f.cols)
+            sum((c * f.entries[i][j] for i, c in arow.items()), ZERO) for j in range(f.cols)
         )
 
 
@@ -552,7 +549,7 @@ def induced_grading_check(pairing: Pairing, window: Window) -> CertificateReport
                         g.encode(p), g.encode(s), i)
                     break
                 if s == p:
-                    cols.append({k: c for k, c in enumerate(image.coeff(p)) if c})
+                    cols.append(image.comps.get(p, {}))
             if witness:
                 break
             if rank_of_sparse_columns(cols, dp) != dp:
@@ -691,9 +688,9 @@ class TwistCalculus:
             if rho.apply(twist, u) != s:
                 continue
             v, terms = self._slice2(r, j, u)
-            tw = self.action.block(twist, u)
+            tw = self.action.block(twist, u).sparse_columns()
             for (k1, k2, c) in terms:
-                moved = self.bside.algebra.element({s: tw.col(k1)})
+                moved = self.bside.algebra.from_sparse({s: tw[k1]})
                 acted = act_b_on_a(self.pairing, moved, a)
                 out.accumulate_outer(acted, self.bside.algebra.basis_element(v, k2), c)
         return out
@@ -709,11 +706,10 @@ class TwistCalculus:
                 continue
             v, terms = self._slice2(r, j, u)
             src, sinv_m = self._sinv.fn(u)  # S^-1 : B_u -> B_{u^-1}
-            tw = self.action.block(rinv, g.invert(u))
+            # the twist after S^-1, column by column
+            moved_cols = self.action.block(rinv, g.invert(u)).matmul(sinv_m).sparse_columns()
             for (k1, k2, c) in terms:
-                vec = sinv_m.col(k1)
-                moved_vec = tw.apply(vec)
-                moved = self.bside.algebra.element({s: moved_vec})
+                moved = self.bside.algebra.from_sparse({s: moved_cols[k1]})
                 acted = act_b_on_a(self.pairing, moved, a)
                 out.accumulate_outer(acted, self.bside.algebra.basis_element(v, k2), c)
         return out
@@ -737,10 +733,10 @@ class TwistCalculus:
         u = g.multiply(r, s)
         v, terms = self._slice2(r, j, u)  # v = s^-1
         src, sinv_m = self._sinv.fn(v)  # S^-1 : B_v -> B_{v^-1} = B_s
+        sinv_cols = sinv_m.sparse_columns()
         for (k1, k2, c) in terms:
-            vec = sinv_m.col(k2)
             acted = act_a_on_a(
-                self.pairing, a, self.bside.algebra.element({s: vec})
+                self.pairing, a, self.bside.algebra.from_sparse({s: sinv_cols[k2]})
             )
             out.accumulate_outer(acted, self.bside.algebra.basis_element(u, k1), c)
         return out
@@ -757,13 +753,14 @@ class TwistCalculus:
             if rho.apply(rinv, u) != s:
                 continue
             v, terms = self._slice3(r, j, u, w)
-            tw = self.action.block(rinv, u)
+            tw = self.action.block(rinv, u).sparse_columns()
             src, sinv_m = self._sinv.fn(w)  # S^-1 : B_w -> B_s
+            sinv_cols = sinv_m.sparse_columns()
             for (k1, k2, k3, c) in terms:
-                moved = self.bside.algebra.element({s: tw.col(k1)})
+                moved = self.bside.algebra.from_sparse({s: tw[k1]})
                 acted = act_b_on_a(self.pairing, moved, a)
                 acted = act_a_on_a(
-                    self.pairing, acted, self.bside.algebra.element({s: sinv_m.col(k3)})
+                    self.pairing, acted, self.bside.algebra.from_sparse({s: sinv_cols[k3]})
                 )
                 out.accumulate_outer(acted, self.bside.algebra.basis_element(v, k2), c)
         return out
@@ -997,15 +994,12 @@ class DoubleStructure:
             if self.crossing:
                 comp = g.invert(r)
                 db = self.pairing.b_side.algebra.dim(r)
-                local = self.a_index(s, i) * db + self._local_b(r, j)
+                local = self.a_index(s, i) * db + j
             else:
                 comp = alg.group.identity
                 local = self.flat_index(s, i, r, j)
             acc.setdefault(comp, {})[local] = c  # distinct terms have distinct indices
         return alg.from_sparse(acc)
-
-    def _local_b(self, r, j) -> int:
-        return j
 
     def basis_tensor(self, s, i, r, j) -> TensorElement:
         t = TensorElement(self.pairing.a_side.algebra, self.pairing.b_side.algebra)
@@ -1045,11 +1039,6 @@ class DoubleStructure:
     def embed_b(self, b: GradedElement) -> TensorElement:
         unit_a = self.pairing.a_side.unit_element()
         return TensorElement.of_pair(unit_a, b)
-
-    def unit_tensor(self) -> TensorElement:
-        return TensorElement.of_pair(
-            self.pairing.a_side.unit_element(), self.pairing.b_side.unit_element()
-        )
 
     def dbar(self, s, i, r, j) -> dict:
         """The coproduct of a basis vector, as a dict over flat index pairs.
@@ -1109,9 +1098,13 @@ class DoubleStructure:
         b = bside.algebra.basis_element(r, j)
         sb = bside.antipode.apply(b)
         sb = self.action.component_map(g.invert(r)).apply(sb)
-        a = aside.algebra.basis_element(s, i)
-        sa_inv = aside.antipode.inverse_on(self.twist.scan).apply(a)
+        sa_inv = self._a_antipode_inverse.apply(aside.algebra.basis_element(s, i))
         return self.twist.r(TensorElement.of_pair(sb, sa_inv))
+
+    @cached_property
+    def _a_antipode_inverse(self) -> ComponentMap:
+        """The inverse of the A antipode on the twist's scan, built once per double."""
+        return self.pairing.a_side.antipode.inverse_on(self.twist.scan)
 
     def star_tensor(self, s, i, r, j) -> TensorElement:
         """The involution on a basis vector: R(b* (x) a*)."""
@@ -1205,20 +1198,13 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
                         entry[basis.index((sp, ip, rp, jp))] = c
                     if entry:
                         products[(x, y)] = entry
-            unit_a = aside.unit_element()
-            unit_vec = [ZERO] * dim
+            # the unit of a crossing component pairs the A unit with 1_{p^-1}
+            unit_b = bside.unit_element()
             if crossing:
-                ub = bside.algebra.component(g.invert(p)).unit
-                for (s, i) in a_basis:
-                    ca = unit_a.coeff(s)[i]
-                    if not ca:
-                        continue
-                    for jj, cb in enumerate(ub):
-                        if cb:
-                            unit_vec[basis.index((s, i, g.invert(p), jj))] = ca * cb
-            else:
-                for sp, rp, ip, jp, c in d.unit_tensor().terms():
-                    unit_vec[basis.index((sp, ip, rp, jp))] = c
+                unit_b = unit_b.restrict([g.invert(p)])
+            unit_vec = [ZERO] * dim
+            for sp, rp, ip, jp, c in TensorElement.of_pair(aside.unit_element(), unit_b).terms():
+                unit_vec[basis.index((sp, ip, rp, jp))] = c
             star = None
             if aside.star is not None and bside.star is not None:
                 cols = []
@@ -1509,6 +1495,12 @@ def double_right_integral(
     if phi_b is None:
         raise ValueError("the cograded side has no left integral on the window")
     delta_b = modular_element(bside, phi_b, window)
+    delta_b_elem = bside.algebra.element({s: delta_b.component(s) for s in window.elements})
+    inv_delta_b = {}  # s -> the inverse of delta_b in B_s
+    for s in window.elements:
+        comp = bside.algebra.component(s)
+        inv_vec = inverse(comp.left_mult_matrix(delta_b_elem.comps.get(s, {}))).apply(comp.unit)
+        inv_delta_b[s] = bside.algebra.element({s: inv_vec})
     witness = None
     for (r, j) in d.b_basis:
         if witness:
@@ -1518,12 +1510,7 @@ def double_right_integral(
             a = aside.algebra.basis_element(s, i)
             img = d.twist.r_basis(r, j, s, i)
             got = img.apply_covector_leg2(psi_t.covector)
-            dvec = delta_b.component(s)
-            comp = bside.algebra.component(s)
-            inv_vec = inverse(comp.left_mult_matrix(dvec)).apply(comp.unit)
-            expected = act_b_on_a(
-                d.pairing, bside.algebra.element({s: inv_vec}), a
-            ).scale(psi_t.value(b))
+            expected = act_b_on_a(d.pairing, inv_delta_b[s], a).scale(psi_t.value(b))
             if got != expected:
                 witness = "b=(%s,%d) a=(%s,%d)" % (g.encode(r), j, g.encode(s), i)
                 break
@@ -1532,17 +1519,8 @@ def double_right_integral(
             witness is None, witness)
 
     delta_a = modular_element(aside, phi_a, window)
-    value = ZERO
-    for p in window.elements:
-        av = delta_a.component(p)
-        bv = delta_b.component(p)
-        f = d.pairing.form(p)
-        for i, ca in enumerate(av):
-            if not ca:
-                continue
-            for jj, cb in enumerate(bv):
-                if cb and f.entries[i][jj]:
-                    value = value + ca * f.entries[i][jj] * cb
+    value = d.pairing.pair(
+        aside.algebra.element({p: delta_a.component(p) for p in window.elements}), delta_b_elem)
     scalar = rational_sqrt(value)
     if scalar is None:
         rep.add("positivity-scalar",
@@ -1722,13 +1700,7 @@ def reduced_dual(b: MhaStructure, window: Optional[Window] = None,
                 if starget != p:
                     raise ValueError("cograded star must preserve components")
                 target, sm = b.antipode.fn(pinv)
-                dp = alg.dim(p)
-                rows = []
-                for jj in range(alg.dim(pinv)):
-                    col = tuple(sm.entries[k][jj] for k in range(sm.rows))
-                    tvec = stm.apply(tuple(c.conj() for c in col))
-                    rows.append(tuple(tvec[i].conj() for i in range(dp)))
-                return pinv, Matrix.from_rows(rows)
+                return pinv, stm.conj().matmul(sm).transpose()
 
             star = star_fn
 
@@ -1774,12 +1746,7 @@ def reduced_dual(b: MhaStructure, window: Optional[Window] = None,
             if b.star is not None:
                 starget, stm = b.star.fn(g.invert(p))
                 target, sm = b.antipode.fn(p)
-                rows = []
-                for jj in range(dp):
-                    col = tuple(sm.entries[k][jj] for k in range(sm.rows))
-                    tvec = stm.apply(tuple(c.conj() for c in col))
-                    rows.append(tuple(tvec[i].conj() for i in range(dp)))
-                star_m = Matrix.from_rows(rows)
+                star_m = stm.conj().matmul(sm).transpose()
             dual_components[p] = ComponentAlgebra(
                 dp, products, unit=b.counit_covector(p), star=star_m
             )

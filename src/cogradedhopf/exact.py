@@ -190,23 +190,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(as_scalar(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vector) -> Vector:
-    c = as_scalar(c)
-    return tuple(c * a for a in x)
-
-
-def vec_is_zero(x: Vector) -> bool:
-    return all(not a for a in x)
-
-
 def accumulate(acc: dict, row, scale=None) -> None:
     """Add ``scale`` times a sparse row into ``acc`` in place, pruning zeros.
 
@@ -226,11 +209,6 @@ def accumulate(acc: dict, row, scale=None) -> None:
             acc[k] = c
         elif old is not None:
             del acc[k]
-
-
-def kron_index(i: int, j: int, dim2: int) -> int:
-    """Index of e_i (x) f_j in the row-major tensor basis."""
-    return i * dim2 + j
 
 
 @dataclass(frozen=True)
@@ -261,11 +239,6 @@ class Matrix:
         )
 
     @staticmethod
-    def column(entries: Iterable) -> "Matrix":
-        col = [as_scalar(e) for e in entries]
-        return Matrix(len(col), 1, tuple((e,) for e in col))
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         cols = [vector(c) for c in cols]
         if not cols:
@@ -284,15 +257,20 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
-
     def sparse_columns(self) -> list:
-        """The columns as sparse dicts row -> nonzero entry."""
-        return [
-            {i: row[j] for i, row in enumerate(self.entries) if row[j]}
-            for j in range(self.cols)
-        ]
+        """The columns as sparse dicts row -> nonzero entry.
+
+        Computed once per matrix and shared by every caller, so the dicts
+        must not be mutated.
+        """
+        cols = self.__dict__.get("_sparse_columns")
+        if cols is None:
+            cols = [
+                {i: row[j] for i, row in enumerate(self.entries) if row[j]}
+                for j in range(self.cols)
+            ]
+            object.__setattr__(self, "_sparse_columns", cols)
+        return cols
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)

@@ -243,12 +243,6 @@ class Window:
                     yield p, q, r
 
 
-def default_window(g: GroupOracle, w: Optional[Window] = None) -> Window:
-    if w is not None:
-        return w
-    return Window.full(g)
-
-
 def check_group_laws_on_window(g: GroupOracle, w: Window) -> Optional[str]:
     """Spot-verify group laws on a window; returns a witness string or None.
 

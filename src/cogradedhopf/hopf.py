@@ -76,23 +76,17 @@ class ComponentMap:
     def matrix(self, p) -> Matrix:
         return self.fn(p)[1]
 
-    def apply_vec(self, p, vec):
-        t, m = self.fn(p)
-        if self.antilinear:
-            vec = tuple(a.conj() for a in vec)
-        return t, m.apply(vec)
-
     def apply(self, x: GradedElement) -> GradedElement:
         if x.algebra is not self.algebra_in:
             raise ValueError("element is not in the domain algebra")
         out: dict = {}
         for p, v in x.comps.items():
-            t, w = self.apply_vec(p, v)
-            if t in out:
-                out[t] = tuple(a + b for a, b in zip(out[t], w))
-            else:
-                out[t] = w
-        return GradedElement(self.algebra_out, out)
+            t, m = self.fn(p)
+            cols = m.sparse_columns()
+            acc = out.setdefault(t, {})
+            for k, c in v.items():
+                accumulate(acc, cols[k], c.conj() if self.antilinear else c)
+        return self.algebra_out.from_sparse(out)
 
     def linear_block_family(self) -> Callable:
         """The (target, matrix) family with antilinearity stripped, for leg maps
@@ -123,27 +117,16 @@ class ComponentMap:
 
 
 class BlockComultiplication:
-    """Blockwise comultiplication: block(p, q) maps B_{source(p,q)} to B_p (x) B_q.
+    """Blockwise comultiplication: the block at (p, q) maps B_{source(p,q)} to B_p (x) B_q.
 
-    ``block_cols`` is the sparse view used by all the checkers: one dict per
-    source basis vector, mapping flattened tensor indices i*dim(q)+j to
-    coefficients. Large blocks (doubles) are only ever built in this form.
+    Blocks exist only as sparse columns: ``block_cols(p, q)`` holds one dict
+    per source basis vector, mapping flattened tensor indices i*dim(q)+j to
+    nonzero coefficients, or None when the block is absent.
     """
 
     def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
         self._cols_cache: dict = {}
-
-    def block(self, p, q) -> Optional[Matrix]:
-        cols = self.block_cols(p, q)
-        if cols is None:
-            return None
-        nrows = self.algebra.dim(p) * self.algebra.dim(q)
-        rows = [[ZERO] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                rows[i][j] = c
-        return Matrix.from_rows(rows)
 
     def block_cols(self, p, q) -> Optional[list]:
         key = (p, q)
@@ -173,7 +156,7 @@ class BlockComultiplication:
 class CogradedBlockDelta(BlockComultiplication):
     """Standard cograded indexing: the block at (p, q) has source p*q.
 
-    ``block_fn`` may return either a dense Matrix or a sparse column list.
+    ``block_fn(p, q)`` returns the block's sparse column list, or None.
     """
 
     def __init__(self, algebra: GradedAlgebra, block_fn: Callable):
@@ -181,10 +164,7 @@ class CogradedBlockDelta(BlockComultiplication):
         self.block_fn = block_fn
 
     def _compute_cols(self, p, q):
-        raw = self.block_fn(p, q)
-        if raw is None or isinstance(raw, list):
-            return raw
-        return raw.sparse_columns()
+        return self.block_fn(p, q)
 
     def source(self, p, q):
         return self.algebra.group.multiply(p, q)
@@ -199,19 +179,17 @@ class CogradedBlockDelta(BlockComultiplication):
 
 
 class DiagonalDelta(BlockComultiplication):
-    """Graded-side comultiplication: Delta(B_p) lives in B_p (x) B_p."""
+    """Graded-side comultiplication: Delta(B_p) lives in B_p (x) B_p.
+
+    ``diag_fn(p)`` returns the sparse column list of the (p, p) block.
+    """
 
     def __init__(self, algebra: GradedAlgebra, diag_fn: Callable):
         super().__init__(algebra)
         self.diag_fn = diag_fn
 
     def _compute_cols(self, p, q):
-        if p != q:
-            return None
-        raw = self.diag_fn(p)
-        if raw is None or isinstance(raw, list):
-            return raw
-        return raw.sparse_columns()
+        return self.diag_fn(p) if p == q else None
 
     def source(self, p, q):
         return p
@@ -252,13 +230,7 @@ class MhaStructure:
         return self._counit_cache[p]
 
     def counit_value(self, x: GradedElement) -> GR:
-        acc = ZERO
-        for p, v in x.comps.items():
-            cov = self.counit_covector(p)
-            for a, b in zip(cov, v):
-                if a and b:
-                    acc = acc + a * b
-        return acc
+        return _evaluate(self.counit_covector, x)
 
     def scan_candidates(self, window: Optional[Window] = None):
         if self.group.is_finite:
@@ -276,7 +248,7 @@ class MhaStructure:
             return
         dq = self.algebra.dim(q)
         out.add_block(p, q, (
-            (divmod(idx, dq), a * c) for i, a in enumerate(xv) if a for idx, c in cols[i].items()
+            (divmod(idx, dq), a * c) for i, a in xv.items() for idx, c in cols[i].items()
         ))
 
     def delta_part_by_second(self, x: GradedElement, seconds) -> TensorElement:
@@ -332,12 +304,6 @@ class MhaStructure:
     def basis(self, window: Window):
         return self.algebra.basis_on(window)
 
-    def antipode_family(self) -> Callable:
-        return self.antipode.fn
-
-    def antipode_inverse_on(self, candidates) -> ComponentMap:
-        return self.antipode.inverse_on(candidates)
-
     def unit_element(self) -> Optional[GradedElement]:
         return self.algebra.unit_element()
 
@@ -371,13 +337,18 @@ class GradedFunctional:
         return cov
 
     def value(self, x: GradedElement) -> GR:
-        acc = ZERO
-        for p, v in x.comps.items():
-            cov = self.covector(p)
-            for a, b in zip(cov, v):
-                if a and b:
-                    acc = acc + a * b
-        return acc
+        return _evaluate(self.covector, x)
+
+
+def _evaluate(covector: Callable, x: GradedElement) -> GR:
+    """The value on x of the functional with dense covectors p -> covector(p)."""
+    acc = ZERO
+    for p, v in x.comps.items():
+        cov = covector(p)
+        for k, c in v.items():
+            if cov[k]:
+                acc = acc + cov[k] * c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -745,16 +716,17 @@ def _invariance_rows(h: MhaStructure, window: Window, side: str):
                     cur = lhs.setdefault(keep, {})
                     cur[dual] = cur.get(dual, ZERO) + c
                 # equations: lhs|_t - f(a) * unit_t = 0 for t = r and unit components
-                targets = set(unit_elem.comps) | {r}
+                # in group order, so that equation numbers do not depend on hashing
+                targets = sorted(set(unit_elem.comps) | {r}, key=h.group.sort_key)
                 for t in targets:
-                    unit_vec = unit_elem.comps.get(t, (ZERO,) * alg.dim(t))
+                    unit_row = unit_elem.comps.get(t, {})
                     for k in range(alg.dim(t)):
                         row = {}
                         if t == r:
                             for dual, c in lhs.get(k, {}).items():
                                 if c:
                                     row[var_index[(r, dual)]] = c
-                        u = unit_vec[k]
+                        u = unit_row.get(k)
                         if u:
                             key = var_index[(r, i)]
                             row[key] = row.get(key, ZERO) - u
@@ -1116,7 +1088,7 @@ def make_kg(g: GroupOracle) -> MhaStructure:
         group=g, mode=COGRADED, component_fn=lambda p: shared, label="kg-%s" % g.name
     )
     one = Matrix.from_rows([[1]])
-    delta = CogradedBlockDelta(algebra, lambda p, q: one)
+    delta = CogradedBlockDelta(algebra, lambda p, q: one.sparse_columns())
     antipode = ComponentMap(algebra, algebra, lambda p: (g.invert(p), one), label="S")
     star = ComponentMap(algebra, algebra, lambda p: (p, one), antilinear=True, label="*")
     return MhaStructure(
@@ -1141,7 +1113,7 @@ def make_group_algebra(g: GroupOracle) -> MhaStructure:
         unit_components={g.identity: (ONE,)},
         label="group-algebra-%s" % g.name,
     )
-    delta = DiagonalDelta(algebra, lambda p: one)
+    delta = DiagonalDelta(algebra, lambda p: one.sparse_columns())
     antipode = ComponentMap(algebra, algebra, lambda p: (g.invert(p), one), label="S")
     star = ComponentMap(
         algebra, algebra, lambda p: (g.invert(p), one), antilinear=True, label="*"
@@ -1190,14 +1162,8 @@ def make_ungraded_group_algebra(g: GroupOracle) -> MhaStructure:
         label="hopf-group-algebra-%s" % g.name,
     )
     # Delta(u_x) = u_x (x) u_x
-    delta_m = Matrix.from_rows(
-        [
-            [ONE if (a == x and b == x) else ZERO for x in range(n)]
-            for a in range(n)
-            for b in range(n)
-        ]
-    )
-    delta = DiagonalDelta(algebra, lambda p: delta_m)
+    delta_cols = [{x * n + x: ONE} for x in range(n)]
+    delta = DiagonalDelta(algebra, lambda p: delta_cols)
     antipode = ComponentMap(algebra, algebra, lambda p: (e, inv_perm), label="S")
     star = ComponentMap(algebra, algebra, lambda p: (e, inv_perm), antilinear=True, label="*")
     return MhaStructure(
@@ -1223,7 +1189,7 @@ def make_constant_family(h: MhaStructure, g: GroupOracle) -> MhaStructure:
     comp = h.algebra.component(e_h)
     if comp.unit is None:
         raise ValueError("fibre component must be unital")
-    delta_m = h.delta.block(e_h, e_h)
+    delta_cols = h.delta.block_cols(e_h, e_h)
     s_m = h.antipode.matrix(e_h)
     star_m = h.star.matrix(e_h) if h.star is not None else None
     eps = h.counit_covector(e_h)
@@ -1232,7 +1198,7 @@ def make_constant_family(h: MhaStructure, g: GroupOracle) -> MhaStructure:
         group=g, mode=COGRADED, component_fn=lambda p: comp,
         label="constant-%s-over-%s" % (h.label, g.name),
     )
-    delta = CogradedBlockDelta(algebra, lambda p, q: delta_m)
+    delta = CogradedBlockDelta(algebra, lambda p, q: delta_cols)
     antipode = ComponentMap(algebra, algebra, lambda p: (g.invert(p), s_m), label="S")
     star = None
     if star_m is not None:

@@ -57,10 +57,26 @@ def _scalar(s) -> GR:
         raise SpecFormatError("bad scalar %r: %s" % (s, exc))
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SpecFormatError("%s is not a list: %r" % (what, value))
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecFormatError("%s is not an object: %r" % (what, value))
+    return value
+
+
+def _vector(raw, section: str) -> tuple:
+    return tuple(_scalar(x) for x in _list(raw, section))
+
+
 def _matrix(rows, section: str) -> Matrix:
     try:
-        return Matrix.from_rows([[_scalar(x) for x in row] for row in rows])
-    except (ValueError, SpecFormatError) as exc:
+        return Matrix.from_rows([_vector(row, "row") for row in _list(rows, "matrix")])
+    except ValueError as exc:
         raise SpecFormatError("bad matrix in %s: %s" % (section, exc))
 
 
@@ -74,6 +90,28 @@ def _shaped(m: Matrix, rows: int, cols: int, what: str) -> Matrix:
 
 def _matrix_out(m: Matrix) -> list:
     return [[str(x) for x in row] for row in m.entries]
+
+
+def _sparse_out(nrows: int, ncols: int, entries) -> list:
+    """The dense row-major JSON matrix with the given (row, column, coefficient)
+    entries and zeros elsewhere."""
+    rows = [["0"] * ncols for _ in range(nrows)]
+    for i, j, c in entries:
+        rows[i][j] = str(c)
+    return rows
+
+
+def _columns_out(cols: list, nrows: int) -> list:
+    """A block given by its sparse columns, as a JSON matrix."""
+    return _sparse_out(nrows, len(cols), (
+        (i, j, c) for j, col in enumerate(cols) for i, c in col.items()))
+
+
+def _table_out(table: dict, nrows: int, ncols: int, dq: int) -> list:
+    """A product table (i, j) -> {k: coeff}, as the JSON matrix whose column
+    i*dq + j is the product of e_i and e_j."""
+    return _sparse_out(nrows, ncols, (
+        (k, i * dq + j, c) for (i, j), entry in table.items() for k, c in entry.items()))
 
 
 def _vector_out(v) -> list:
@@ -127,18 +165,24 @@ def _group_from_doc(doc: dict) -> GroupOracle:
         table = section.get("table")
         if not isinstance(elements, list) or not elements or not isinstance(table, list):
             raise SpecFormatError("table group needs elements and table")
-        n = len(elements)
-        if len(table) != n or any(not isinstance(row, list) or len(row) != n for row in table):
-            raise SpecFormatError("group table must be %dx%d" % (n, n))
-        for row in table:
-            for k in row:
-                if type(k) is not int or not 0 <= k < n:
-                    raise SpecFormatError("group table entry %r is not an index below %d" % (k, n))
+        _index_table(table, len(elements), "group table")
         try:
             return finite_group_from_table(elements, table, name=doc.get("label", ""))
         except GroupAxiomError as exc:
             raise SpecFormatError("group table: %s" % exc)
     raise SpecFormatError("unknown group kind %r" % kind)
+
+
+def _index_table(table, n: int, what: str) -> list:
+    """Check that a table is n x n with entries in range(n)."""
+    if (not isinstance(table, list) or len(table) != n
+            or any(not isinstance(row, list) or len(row) != n for row in table)):
+        raise SpecFormatError("%s must be %dx%d" % (what, n, n))
+    for row in table:
+        for k in row:
+            if type(k) is not int or not 0 <= k < n:
+                raise SpecFormatError("%s entry %r is not an index below %d" % (what, k, n))
+    return table
 
 
 def _group_to_doc(g: GroupOracle) -> dict:
@@ -189,7 +233,8 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
         raise SpecFormatError("missing components section")
 
     def component(p):
-        entry = _section_lookup(comp_section, g.encode(p), "component")
+        entry = _object(_section_lookup(comp_section, g.encode(p), "component"),
+                        "component %s" % g.encode(p))
         dim = entry.get("dim")
         if not isinstance(dim, int) or dim <= 0:
             raise SpecFormatError("component %s needs a positive dim" % g.encode(p))
@@ -201,8 +246,10 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
                 raise SpecFormatError(
                     "cograded component %s needs structure constants" % g.encode(p)
                 )
+            section = "components.structure"
             constants = [
-                [[_scalar(c) for c in row] for row in plane] for plane in structure
+                [_vector(row, section) for row in _list(plane, section)]
+                for plane in _list(structure, section)
             ]
             if len(constants) != dim:
                 raise SpecFormatError(
@@ -211,7 +258,7 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
                 )
             return ComponentAlgebra.from_structure_constants(
                 constants,
-                unit=[_scalar(c) for c in unit] if unit else None,
+                unit=_vector(unit, "components.unit") if unit else None,
                 star=_matrix(star, "components.star") if star else None,
             )
         comp = ComponentAlgebra(dim)
@@ -233,8 +280,8 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
         unit_section = doc.get("unit_element")
         if unit_section:
             unit_components = {
-                g.decode(k): tuple(_scalar(c) for c in v)
-                for k, v in unit_section.items()
+                g.decode(k): _vector(v, "unit_element")
+                for k, v in _object(unit_section, "unit_element").items()
             }
 
     algebra = GradedAlgebra(
@@ -256,14 +303,16 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
             return _shaped(
                 _matrix(raw, "delta"), algebra.dim(p) * algebra.dim(q),
                 algebra.dim(g.multiply(p, q)), "delta block %s" % key,
-            )
+            ).sparse_columns()
 
         delta = CogradedBlockDelta(algebra, delta_block)
     else:
         def diag_block(p):
             raw = _section_lookup(delta_section, g.encode(p), "delta block")
             d = algebra.dim(p)
-            return _shaped(_matrix(raw, "delta"), d * d, d, "delta block %s" % g.encode(p))
+            return _shaped(
+                _matrix(raw, "delta"), d * d, d, "delta block %s" % g.encode(p)
+            ).sparse_columns()
 
         delta = DiagonalDelta(algebra, diag_block)
 
@@ -282,8 +331,7 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
         if mode == COGRADED and key not in counit_section and "default" not in counit_section:
             # cograded counits vanish off the identity component
             return (ZERO,) * algebra.dim(p)
-        raw = _section_lookup(counit_section, key, "counit")
-        return tuple(_scalar(c) for c in raw)
+        return _vector(_section_lookup(counit_section, key, "counit"), "counit")
 
     antipode_section = doc.get("antipode")
     if not isinstance(antipode_section, dict):
@@ -297,6 +345,7 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
     star_section = doc.get("star")
     star = None
     if star_section:
+        _object(star_section, "star section")
         def star_fn(p):
             raw = _section_lookup(star_section, g.encode(p), "star")
             target = p if mode == COGRADED else g.invert(p)
@@ -349,7 +398,7 @@ def parse_window(g: GroupOracle, spec) -> Window:
 
 def _action_from_doc(structure: MhaStructure, section: dict) -> Action:
     g = structure.group
-    rho_spec = section.get("rho", "trivial")
+    rho_spec = _object(section, "action section").get("rho", "trivial")
     if rho_spec == "adjoint":
         from .groups import adjoint_self_action
 
@@ -361,7 +410,7 @@ def _action_from_doc(structure: MhaStructure, section: dict) -> Action:
     elif isinstance(rho_spec, dict) and "table" in rho_spec:
         if not g.is_finite:
             raise SpecFormatError("table self-actions need a finite group")
-        table = rho_spec["table"]
+        table = _index_table(rho_spec["table"], g.order, "rho table")
         index = {p: i for i, p in enumerate(g.elements)}
 
         def rho_fn(p, q):
@@ -371,7 +420,7 @@ def _action_from_doc(structure: MhaStructure, section: dict) -> Action:
     else:
         raise SpecFormatError("unknown rho %r" % (rho_spec,))
 
-    blocks = section.get("blocks", {})
+    blocks = _object(section.get("blocks", {}), "action.blocks")
     default = section.get("default_block")
 
     def pi_fn(p, q):
@@ -409,10 +458,10 @@ def structure_to_doc(
         comp = alg.component(p)
         entry: dict = {"dim": comp.dim}
         if alg.mode == COGRADED:
-            entry["structure"] = [
-                [[str(c) for c in row] for row in plane]
-                for plane in comp.structure_constants()
-            ]
+            d = comp.dim
+            flat = _sparse_out(d * d, d, (  # row i*d + j holds the product of e_i and e_j
+                (i * d + j, k, c) for (i, j), e in comp.products.items() for k, c in e.items()))
+            entry["structure"] = [flat[i * d:(i + 1) * d] for i in range(d)]
             if comp.unit is not None:
                 entry["unit"] = _vector_out(comp.unit)
         if comp.star is not None:
@@ -422,18 +471,22 @@ def structure_to_doc(
 
     if alg.mode == GRADED:
         doc["products"] = {
-            "%s|%s" % (g.encode(p), g.encode(q)): _matrix_out(alg.product_block(p, q))
+            "%s|%s" % (g.encode(p), g.encode(q)): _table_out(
+                alg.product_block_sparse(p, q), alg.dim(alg.product_target(p, q)),
+                alg.dim(p) * alg.dim(q), alg.dim(q))
             for p in g.elements
             for q in g.elements
         }
         unit = alg.unit_components or {}
         doc["unit_element"] = {g.encode(p): _vector_out(v) for p, v in unit.items()}
         doc["delta"] = {
-            g.encode(p): _matrix_out(h.delta.block(p, p)) for p in g.elements
+            g.encode(p): _columns_out(h.delta.block_cols(p, p), alg.dim(p) ** 2)
+            for p in g.elements
         }
     else:
         doc["delta"] = {
-            "%s|%s" % (g.encode(p), g.encode(q)): _matrix_out(h.delta.block(p, q))
+            "%s|%s" % (g.encode(p), g.encode(q)): _columns_out(
+                h.delta.block_cols(p, q), alg.dim(p) * alg.dim(q))
             for p in g.elements
             for q in g.elements
         }

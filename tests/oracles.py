@@ -43,21 +43,14 @@ def untwisted_double_product(pairing, quadruple):
                     acted = act_a_on_a(
                         pairing, acted, bside.algebra.element({src: svec})
                     )
-                    for sp, av in acted.comps.items():
-                        left = aside.algebra.basis_element(s1, i1) * aside.algebra.element(
-                            {sp: av}
-                        )
+                    for sp in acted.comps:
+                        left = aside.algebra.basis_element(s1, i1) * acted.restrict([sp])
                         right = bside.algebra.basis_element(
                             v, k2
                         ) * bside.algebra.basis_element(r2, j2)
                         for spp, avv in left.comps.items():
                             for rpp, bvv in right.comps.items():
-                                for ii, ca in enumerate(avv):
-                                    if not ca:
-                                        continue
-                                    for jj, cb in enumerate(bvv):
-                                        if cb:
-                                            out.add_term(
-                                                spp, rpp, ii, jj, c * c2 * ca * cb
-                                            )
+                                for ii, ca in avv.items():
+                                    for jj, cb in bvv.items():
+                                        out.add_term(spp, rpp, ii, jj, c * c2 * ca * cb)
     return out

@@ -12,6 +12,7 @@ from cogradedhopf.algebras import (
     check_graded_algebra,
 )
 from cogradedhopf.exact import GR, I, ONE, ZERO, Matrix
+from cogradedhopf.hopf import ComponentMap
 from cogradedhopf.groups import Window, cyclic_group, integers_group, s3_group
 
 
@@ -50,7 +51,7 @@ def test_component_algebra_validates_z2_group_algebra():
     assert comp.nondegeneracy_witness() is None
     assert comp.unit_witness() is None
     assert comp.star_witness() is None
-    assert comp.product_vec((ZERO, ONE), (ZERO, ONE)) == {0: ONE}
+    assert comp.product_vec({1: ONE}, {1: ONE}) == {0: ONE}
 
 
 def test_broken_associativity_is_witnessed():
@@ -93,6 +94,67 @@ def test_element_canonical_form_and_arithmetic():
     assert y.is_zero() and y.comps == {}
     assert x.support() == ("e", "g1")
     assert (I * x).coeff("g1") == (GR(0, 2),)
+
+
+def assert_canonical(x):
+    """Components are sparse rows with no zero coefficient and no empty row."""
+    for p, row in x.comps.items():
+        assert isinstance(row, dict) and row, (p, row)
+        assert all(isinstance(c, GR) and c for c in row.values()), (p, row)
+
+
+def test_element_operations_keep_canonical_form():
+    s3 = s3_group()
+    b = c2_algebra(s3)
+    x = b.element({"e": [1, 2], "(12)": [0, GR(1, 1)]})
+    y = b.element({"e": [GR(0, 1), -2], "(123)": [3, 0]})
+    plus_minus = b.element({"e": [1, -1]})  # (e0 + e1)(e0 - e1) = 0 in C[Z2]
+    plus = b.element({"e": [1, 1]})
+    results = {
+        "add": x + y,
+        "sub": x - x,
+        "sub-partial": x - b.element({"e": [1, 0]}),
+        "scale": x.scale(GR(0, -3)),
+        "scale-zero": x.scale(0),
+        "multiply": x * y,
+        "multiply-cancels": plus * plus_minus,
+        "from-sparse": b.from_sparse({"e": {}, "(12)": {1: ONE}}),
+        "element": b.element({"e": [0, 0], "(13)": [0, 5]}),
+    }
+    for z in results.values():
+        assert_canonical(z)
+    assert results["add"].comps == {"e": {0: GR(1, 1)}, "(12)": {1: GR(1, 1)},
+                                    "(123)": {0: GR(3)}}
+    assert results["sub"].comps == {} and results["scale-zero"].comps == {}
+    assert results["sub-partial"].comps == {"e": {1: GR(2)}, "(12)": {1: GR(1, 1)}}
+    assert results["multiply-cancels"].is_zero()
+    assert results["from-sparse"].support() == ("(12)",)
+    assert results["element"].comps == {"(13)": {1: GR(5)}}
+
+    # a singular block sends e0 - e1 to zero, so the image drops the component
+    def family(p):
+        return p, Matrix.from_rows([[1, 1], [GR(0, 1), GR(0, 1)]])
+
+    for antilinear in (False, True):
+        cmap = ComponentMap(b, b, family, antilinear=antilinear)
+        for z in [x, y, plus_minus, x + plus_minus.scale(GR(2, 5))]:
+            got = cmap.apply(z)
+            assert_canonical(got)
+            want = b.zero()
+            for p in z.comps:
+                target, m = family(p)
+                v = z.coeff(p)
+                if antilinear:
+                    v = tuple(c.conj() for c in v)
+                want = want + b.element({target: m.apply(v)})
+            assert got == want
+    assert ComponentMap(b, b, family).apply(plus_minus).is_zero()
+
+    cov = {p: (GR(1), GR(1)) for p in s3.elements}  # kills e0 - e1
+    t = TensorElement.of_pair(plus_minus, x).add(TensorElement.of_pair(x, plus_minus))
+    for collapsed in (t.apply_covector_leg1(cov.get), t.apply_covector_leg2(cov.get)):
+        assert_canonical(collapsed)
+        assert collapsed == plus_minus.scale(GR(3)) + plus_minus.scale(GR(1, 1))
 
 
 def test_finite_support_closure_under_product():
@@ -161,13 +223,13 @@ def assert_leg_routines(alg, window):
             [[GR(r - c + 1, r * c - 1) for c in range(d)] for r in range(d)])
 
     def mapped(x):
-        (p, v), = x.comps.items()
+        p, = x.comps
         target, m = family(p)
-        return alg.element({target: m.apply(v)})
+        return alg.element({target: m.apply(x.coeff(p))})
 
     def collapsed(x):
-        (p, v), = x.comps.items()
-        return sum((c * w for c, w in zip(cov[p], v)), ZERO)
+        p, = x.comps
+        return sum((c * w for c, w in zip(cov[p], x.coeff(p))), ZERO)
 
     for x in basis:
         for z in basis:

@@ -155,7 +155,7 @@ def test_trivial_deformation_is_identity(kg_s3):
     g = kg_s3.group
     for p, q in w.pairs():
         assert d.delta.source(p, q) == kg_s3.delta.source(p, q)
-        assert d.delta.block(p, q) == kg_s3.delta.block(p, q)
+        assert d.delta.block_cols(p, q) == kg_s3.delta.block_cols(p, q)
     for p in g.elements:
         assert d.antipode.fn(p) == kg_s3.antipode.fn(p)
 

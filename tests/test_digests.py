@@ -7,6 +7,7 @@ that renames, reorders or rewords an entry, or flips a verdict, fails here.
 import pytest
 
 from cogradedhopf.cli import main
+from cogradedhopf.specfile import load_spec_file, spec_digest
 
 VERIFY = {
     "kg-s3": "51ccd01fc47b871c350d5c95be6f7e1f9e872733e874db9525351bf4c3478fe3",
@@ -23,6 +24,15 @@ DUAL = {
     "kg-z3": "d1e4d8dc23f0cd8077f3290f29c8f7b551fb85a5b7d5f0ffd7569b678a392afa",
     "group-algebra-s3": "1f2ee9058be765a9d1061cd3e9bd1dc4eaf6a1c111ce3b934e4caeff4ca7afee",
     "constant-cz2-s3": "8f1762bd6aaff0f8577c49dfd15fb8075676a78363f1f04c490fc9e2b68d4739",
+}
+
+# spec digests of the graded-mode exports written by ``dual builtin:<name> --out``
+DUAL_EXPORT = {
+    "kg-s3": "5c14894724a0c78ac5409f788c04f05559fb55adb27dcdb29d19feff4e667480",
+    "kg-z2": "7524ab75cda3fcffcc4547f8ed563b38310b7c5745d86312b9b3bf92a67eb803",
+    "kg-z3": "eb7b8f5b180c8948be46762ac61bc2e191d8d378aa4b81e02a4d2ceab0562a67",
+    "group-algebra-s3": "353ef60c20c367589b1adc19957da3ec243069e24775703d669b019c04108d90",
+    "constant-cz2-s3": "b24009fc1f0a1529d59127ebab1ad02c55cceb1be67fe0b7a021fd7ffd7a37cc",
 }
 
 DOUBLE_GACS3_ADJOINT = "1f65bbf9bf8cf8daf5f20039c82e4498667f232e52077194f0db41e219ab34df"
@@ -46,6 +56,13 @@ def test_verify_builtin_digest(capsys, name):
 @pytest.mark.parametrize("name", sorted(DUAL))
 def test_dual_builtin_digest(capsys, name):
     assert run_digest(capsys, ["dual", "builtin:" + name]) == (0, DUAL[name])
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_EXPORT))
+def test_dual_export_digest(capsys, tmp_path, name):
+    path = str(tmp_path / "dual.json")
+    assert run_digest(capsys, ["dual", "builtin:" + name, "--out", path]) == (0, DUAL[name])
+    assert spec_digest(load_spec_file(path)) == DUAL_EXPORT[name]
 
 
 def test_double_and_export_digests(capsys, tmp_path):

@@ -281,6 +281,31 @@ def test_unknown_counit_key_is_a_spec_error(tmp_path, capsys):
     assert "counit names unknown element 'g2'" in err
 
 
+@pytest.mark.parametrize("pairing, message", [
+    (5, "pairing section is not an object: 5"),
+    ({"forms": 5}, "pairing.forms is not an object: 5"),
+])
+def test_double_pairing_section_must_be_an_object(tmp_path, capsys, pairing, message):
+    g = cyclic_group(2)
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    save_spec(str(path_a), structure_to_doc(make_group_algebra(g)))
+    b = structure_to_doc(make_kg(g))
+    b["pairing"] = pairing
+    save_spec(str(path_b), b)
+    code = main(["double", "--pair", "%s,%s" % (path_a, path_b), "--action", "trivial"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_graded_unit_element_must_be_an_object(tmp_path, capsys):
+    doc = structure_to_doc(make_group_algebra(cyclic_group(2)))
+    doc["unit_element"] = 5
+    path = tmp_path / "graded.json"
+    save_spec(str(path), doc)
+    assert main(["verify", str(path)]) == 2
+    assert "unit_element is not an object: 5" in capsys.readouterr().err
+
+
 def test_graded_delta_block_shape_is_checked(tmp_path, capsys):
     doc = structure_to_doc(make_group_algebra(cyclic_group(2)))
     doc["delta"]["g1"] = [["1"], ["0"]]
@@ -289,3 +314,37 @@ def test_graded_delta_block_shape_is_checked(tmp_path, capsys):
     code = main(["verify", str(path)])
     assert code == 2
     assert "delta block g1 has shape 2x1, expected 1x1" in capsys.readouterr().err
+
+
+def _set(section, key, value):
+    """An edit of the README spec that sets doc[section][key] to value."""
+    return lambda doc: doc[section].update({key: value})
+
+
+def _set_component(key, value):
+    return lambda doc: doc["components"]["default"].update({key: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_component("structure", 5), "components.structure is not a list: 5"),
+    (_set_component("structure", [5]), "components.structure is not a list: 5"),
+    (_set_component("unit", 7), "components.unit is not a list: 7"),
+    (_set("delta", "default", 5), "bad matrix in delta: matrix is not a list: 5"),
+    (_set("delta", "default", [5]), "bad matrix in delta: row is not a list: 5"),
+    (_set("star", "default", 3), "bad matrix in star: matrix is not a list: 3"),
+    (_set("counit", "e", 7), "counit is not a list: 7"),
+    (_set("components", "default", 5), "component e is not an object: 5"),
+    (lambda doc: doc.update(star=5), "star section is not an object: 5"),
+    (lambda doc: doc.update(action=[1]), "action section is not an object: [1]"),
+    (lambda doc: doc.update(action={"blocks": 5}), "action.blocks is not an object: 5"),
+    (lambda doc: doc.update(action={"rho": {"table": 5}}), "rho table must be 2x2"),
+    (lambda doc: doc.update(action={"rho": {"table": [[0, 1], [1, "0"]]}}),
+     "rho table entry '0' is not an index below 2"),
+], ids=["structure", "structure-plane", "unit", "delta", "delta-row", "star", "counit",
+        "component", "star-section", "action-section", "action-blocks", "rho-table",
+        "rho-table-entry"])
+def test_malformed_json_type_is_a_spec_error(tmp_path, capsys, edit, message):
+    code, err = verify_spec(tmp_path, capsys, edit)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
