@@ -27,6 +27,7 @@ from .exact import (
     accumulate,
     as_scalar,
     kernel_of_sparse_rows,
+    rank_of_sparse_columns,
     vector,
 )
 from .groups import GroupOracle, Window
@@ -52,8 +53,8 @@ class ComponentAlgebra:
     ``products[(i, j)]`` maps basis-index pairs to the sparse expansion of
     e_i * e_j. ``unit`` is the dense coefficient vector of the unit when the
     component has one, ``star`` the matrix of an antilinear involution
-    (apply as star_matrix @ conj(v)). Vectors passed to the products, the
-    multiplication matrices and the star are sparse rows {k: coeff}.
+    (apply as star_matrix @ conj(v)). Vectors passed to the products and
+    the star are sparse rows {k: coeff}.
     """
 
     def __init__(self, dim, products=None, unit=None, star=None):
@@ -98,17 +99,6 @@ class ComponentAlgebra:
     def product_vec(self, x: dict, y: dict) -> dict:
         """Sparse product of two sparse rows."""
         return _bilinear({}, self.products, x.items(), y.items())
-
-    def left_mult_matrix(self, x: dict) -> Matrix:
-        """The matrix of y -> x y."""
-        return self._matrix_of([self.product_vec(x, {j: ONE}) for j in range(self.dim)])
-
-    def right_mult_matrix(self, x: dict) -> Matrix:
-        """The matrix of y -> y x."""
-        return self._matrix_of([self.product_vec({j: ONE}, x) for j in range(self.dim)])
-
-    def _matrix_of(self, cols: list) -> Matrix:
-        return Matrix.from_columns([[col.get(k, ZERO) for k in range(self.dim)] for col in cols])
 
     def apply_star(self, v: dict) -> dict:
         if self.star is None:
@@ -190,9 +180,9 @@ class GradedAlgebra:
     """Group-indexed family of components with block products.
 
     In cograded mode the product is diagonal and taken inside each component.
-    In graded mode ``block_fn(p, q)`` supplies the matrix of
-    B_p (x) B_q -> B_{pq} (rows indexed by the target basis, columns by the
-    row-major tensor basis).
+    In graded mode ``block_fn(p, q)`` supplies the sparse product table of
+    B_p (x) B_q -> B_{pq}: entry (i, j) is the row {k: coeff} of e_i e_j,
+    and pairs whose product vanishes may be left out.
     """
 
     group: GroupOracle
@@ -232,17 +222,7 @@ class GradedAlgebra:
         if self.mode == COGRADED:
             table = self.component(p).products if p == q else {}
         else:
-            m = self.block_fn(p, q)
-            dp, dq = self.dim(p), self.dim(q)
-            t = self.product_target(p, q)
-            if m.rows != self.dim(t) or m.cols != dp * dq:
-                raise ValueError(
-                    "product block (%s, %s) has shape %dx%d, expected %dx%d"
-                    % (self.group.encode(p), self.group.encode(q), m.rows, m.cols,
-                       self.dim(t), dp * dq)
-                )
-            # column i*dq + j of the block is the product of e_i and e_j
-            table = {divmod(n, dq): col for n, col in enumerate(m.sparse_columns()) if col}
+            table = self.block_fn(p, q)
         self._block_sparse[key] = table
         return table
 
@@ -430,17 +410,17 @@ class GradedMultiplier:
         component. Graded mode: the finite-support element assembled from the
         window components must multiply injectively on the window basis.
         """
-        from .exact import is_bijective, rank_of_sparse_columns
-
         elem = self.algebra.element({p: self.component(p) for p in window.elements})
         if self.algebra.mode == COGRADED:
             for p in window.elements:
                 comp = self.algebra.component(p)
                 mp = elem.comps.get(p, {})
-                if not is_bijective(comp.left_mult_matrix(mp)):
-                    return "component %s not left invertible" % self.algebra.group.encode(p)
-                if not is_bijective(comp.right_mult_matrix(mp)):
-                    return "component %s not right invertible" % self.algebra.group.encode(p)
+                for side in ("left", "right"):
+                    cols = [comp.product_vec(mp, {j: ONE}) if side == "left"
+                            else comp.product_vec({j: ONE}, mp) for j in range(comp.dim)]
+                    if rank_of_sparse_columns(cols, comp.dim) != comp.dim:
+                        return "component %s not %s invertible" % (
+                            self.algebra.group.encode(p), side)
             return None
         if elem.is_zero():
             return "zero multiplier"

@@ -218,7 +218,7 @@ def main(argv: Optional[list] = None) -> int:
     except SpecFormatError as exc:
         print("spec error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

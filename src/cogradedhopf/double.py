@@ -34,6 +34,8 @@ from .exact import (
     is_bijective,
     rank_of_sparse_columns,
     rational_sqrt,
+    rows_of_columns,
+    solve_linear,
 )
 from .groups import Window
 from .hopf import (
@@ -165,11 +167,12 @@ def act_a_on_b(pairing: Pairing, a: GradedElement, b: GradedElement) -> GradedEl
     return out
 
 
-def act_b_on_b(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedElement:
-    """b <| a: the pairing collapses the first coproduct leg of b."""
+def act_b_on_b(pairing: Pairing, b: GradedElement, a: GradedElement,
+               window: Optional[Window] = None) -> GradedElement:
+    """b <| a: the pairing collapses the first coproduct leg of b, scanning ``window``."""
     bside = pairing.b_side
     out = bside.algebra.zero()
-    scan = bside.scan_candidates()
+    scan = bside.scan_candidates(window)
     for s, av in a.comps.items():
         part = bside.delta_part_by_first(b, [s], scan)
 
@@ -230,7 +233,7 @@ def build_module_actions(pairing: Pairing, window: Window):
                 for j in range(bside.algebra.dim(r)):
                     bj = bside.algebra.basis_element(r, j)
                     cols_fwd.append(act_a_on_b(pairing, ai, bj).coeff(target_fwd))
-                    cols_bwd.append(act_b_on_b(pairing, bj, ai).coeff(target_bwd))
+                    cols_bwd.append(act_b_on_b(pairing, bj, ai, window).coeff(target_bwd))
                 a_on_b[(s, i, r)] = Matrix.from_columns(cols_fwd)
                 b_on_b[(s, i, r)] = Matrix.from_columns(cols_bwd)
 
@@ -252,8 +255,8 @@ def build_module_actions(pairing: Pairing, window: Window):
                                 wit["assoc-ab"] = "(%s,%d),(%s,%d),(%s,%d)" % (
                                     g.encode(s), i, g.encode(t), k, g.encode(r), j)
                         if wit["assoc-ba"] is None:
-                            lhs = act_b_on_b(pairing, bj, xy)
-                            rhs = act_b_on_b(pairing, act_b_on_b(pairing, bj, x), y)
+                            lhs = act_b_on_b(pairing, bj, xy, window)
+                            rhs = act_b_on_b(pairing, act_b_on_b(pairing, bj, x, window), y, window)
                             if lhs != rhs:
                                 wit["assoc-ba"] = "(%s,%d),(%s,%d),(%s,%d)" % (
                                     g.encode(s), i, g.encode(t), k, g.encode(r), j)
@@ -418,7 +421,7 @@ def check_pairing(pairing: Pairing, window: Window) -> CertificateReport:
                                 g.encode(s), i, g.encode(t), k, g.encode(r), j)
                         if wit_a_act is None:
                             alt1 = pairing.pair(a1, act_a_on_b(pairing, a2, b))
-                            alt2 = pairing.pair(a2, act_b_on_b(pairing, b, a1))
+                            alt2 = pairing.pair(a2, act_b_on_b(pairing, b, a1, window))
                             if lhs != alt1 or lhs != alt2:
                                 wit_a_act = "a=(%s,%d) a'=(%s,%d) b=(%s,%d)" % (
                                     g.encode(s), i, g.encode(t), k, g.encode(r), j)
@@ -515,14 +518,9 @@ def induced_grading_check(pairing: Pairing, window: Window) -> CertificateReport
         db = bside.algebra.dim(s)
         for i in range(ds):
             a = aside.algebra.basis_element(s, i)
-            cols = []
-            for j in range(db):
-                bj = bside.algebra.basis_element(s, j)
-                cols.append(act_b_on_a(pairing, bj, a).coeff(s))
-            m = Matrix.from_columns(cols)
-            from .exact import solve_linear
-
-            sol = solve_linear(m, a.coeff(s))
+            cols = [act_b_on_a(pairing, bside.algebra.basis_element(s, j), a).comps.get(s, {})
+                    for j in range(db)]
+            sol = solve_linear(rows_of_columns(cols, ds), a.coeff(s), db)
             if sol is None:
                 witness = "no local unit for (%s,%d)" % (g.encode(s), i)
                 break
@@ -970,11 +968,16 @@ class DoubleStructure:
 
     # -- bases and coordinates -------------------------------------------------
 
+    @cached_property
+    def _positions(self) -> tuple:
+        """Index maps of the A and B bases: (component, index) -> position."""
+        return tuple({key: n for n, key in enumerate(basis)} for basis in (self.a_basis, self.b_basis))
+
     def a_index(self, s, i) -> int:
-        return self.a_basis.index((s, i))
+        return self._positions[0][(s, i)]
 
     def b_index(self, r, j) -> int:
-        return self.b_basis.index((r, j))
+        return self._positions[1][(r, j)]
 
     def flat_index(self, s, i, r, j) -> int:
         return self.a_index(s, i) * len(self.b_basis) + self.b_index(r, j)
@@ -1183,11 +1186,13 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
             ]
         }
 
+    comp_index = {p: {key: n for n, key in enumerate(basis)} for p, basis in comp_basis.items()}
     components: dict = {}
 
     def component(p):
         if p not in components:
             basis = comp_basis[p]
+            index = comp_index[p]
             dim = len(basis)
             products = {}
             for x, (s1, i1, r1, j1) in enumerate(basis):
@@ -1195,7 +1200,7 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
                     prod = d._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
                     entry = {}
                     for sp, rp, ip, jp, c in prod.terms():
-                        entry[basis.index((sp, ip, rp, jp))] = c
+                        entry[index[(sp, ip, rp, jp)]] = c
                     if entry:
                         products[(x, y)] = entry
             # the unit of a crossing component pairs the A unit with 1_{p^-1}
@@ -1204,7 +1209,7 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
                 unit_b = unit_b.restrict([g.invert(p)])
             unit_vec = [ZERO] * dim
             for sp, rp, ip, jp, c in TensorElement.of_pair(aside.unit_element(), unit_b).terms():
-                unit_vec[basis.index((sp, ip, rp, jp))] = c
+                unit_vec[index[(sp, ip, rp, jp)]] = c
             star = None
             if aside.star is not None and bside.star is not None:
                 cols = []
@@ -1212,7 +1217,7 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
                     img = d.star_tensor(s1, i1, r1, j1)
                     col = [ZERO] * dim
                     for sp, rp, ip, jp, c in img.terms():
-                        col[basis.index((sp, ip, rp, jp))] = c
+                        col[index[(sp, ip, rp, jp)]] = c
                     cols.append(col)
                 star = Matrix.from_columns(cols)
             components[p] = ComponentAlgebra(dim, products, unit=unit_vec, star=star)
@@ -1239,11 +1244,11 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
                 if crossing:
                     if g.invert(r1) != P or g.invert(r2) != Q:
                         continue
-                    k1 = comp_basis[P].index((s1, i1, r1, j1))
-                    k2 = comp_basis[Q].index((s2, i2, r2, j2))
+                    k1 = comp_index[P][(s1, i1, r1, j1)]
+                    k2 = comp_index[Q][(s2, i2, r2, j2)]
                 else:
-                    k1 = comp_basis[view_group.identity].index((s1, i1, r1, j1))
-                    k2 = comp_basis[view_group.identity].index((s2, i2, r2, j2))
+                    k1 = comp_index[view_group.identity][(s1, i1, r1, j1)]
+                    k2 = comp_index[view_group.identity][(s2, i2, r2, j2)]
                 col[k1 * dq + k2] = c
             cols.append(col)
         return cols
@@ -1258,13 +1263,13 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
 
     def antipode_fn(P):
         target = view_group.invert(P)
-        basis_t = comp_basis[target]
+        index_t = comp_index[target]
         cols = []
         for (s, i, r, j) in comp_basis[P]:
             img = d.sbar_tensor(s, i, r, j)
-            col = [ZERO] * len(basis_t)
+            col = [ZERO] * len(index_t)
             for sp, rp, ip, jp, c in img.terms():
-                col[basis_t.index((sp, ip, rp, jp))] = c
+                col[index_t[(sp, ip, rp, jp)]] = c
             cols.append(col)
         return target, Matrix.from_columns(cols)
 
@@ -1496,11 +1501,15 @@ def double_right_integral(
         raise ValueError("the cograded side has no left integral on the window")
     delta_b = modular_element(bside, phi_b, window)
     delta_b_elem = bside.algebra.element({s: delta_b.component(s) for s in window.elements})
-    inv_delta_b = {}  # s -> the inverse of delta_b in B_s
+    # s -> the inverse of delta_b in B_s, the unique x with delta_b x = 1_s:
+    # modular_element has checked that delta_b is invertible on this window
+    inv_delta_b = {}
     for s in window.elements:
         comp = bside.algebra.component(s)
-        inv_vec = inverse(comp.left_mult_matrix(delta_b_elem.comps.get(s, {}))).apply(comp.unit)
-        inv_delta_b[s] = bside.algebra.element({s: inv_vec})
+        delta_s = delta_b_elem.comps.get(s, {})
+        cols = [comp.product_vec(delta_s, {j: ONE}) for j in range(comp.dim)]
+        sol = solve_linear(rows_of_columns(cols, comp.dim), comp.unit, comp.dim)
+        inv_delta_b[s] = bside.algebra.element({s: sol.particular})
     witness = None
     for (r, j) in d.b_basis:
         if witness:
@@ -1655,14 +1664,13 @@ def reduced_dual(b: MhaStructure, window: Optional[Window] = None,
 
         def block_fn(p, q):
             # product of functionals, dual to the comultiplication block
-            cols = b.delta.block_cols(p, q)
-            dt = alg.dim(g.multiply(p, q))
             dq = alg.dim(q)
-            rows = [[ZERO] * (alg.dim(p) * dq) for _ in range(dt)]
-            for k in range(dt):
-                for idx, c in cols[k].items():
-                    rows[k][idx] = c
-            return Matrix.from_rows(rows)
+            table: dict = {}
+            for k, col in enumerate(b.delta.block_cols(p, q)):
+                for idx, c in col.items():
+                    if c:
+                        table.setdefault(divmod(idx, dq), {})[k] = c
+            return dict(sorted(table.items()))  # in (i, j) order, as a spec block gives it
 
         dual_alg = GradedAlgebra(
             group=g,

@@ -251,9 +251,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> GR:
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -271,6 +268,18 @@ class Matrix:
             ]
             object.__setattr__(self, "_sparse_columns", cols)
         return cols
+
+    def sparse_rows(self) -> list:
+        """The rows as sparse dicts column -> nonzero entry.
+
+        Computed once per matrix and shared by every caller, so the dicts
+        must not be mutated.
+        """
+        rows = self.__dict__.get("_sparse_rows")
+        if rows is None:
+            rows = [{j: a for j, a in enumerate(row) if a} for row in self.entries]
+            object.__setattr__(self, "_sparse_rows", rows)
+        return rows
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -400,13 +409,6 @@ class Matrix:
 # axiom checkers share the same exact code path.
 # ---------------------------------------------------------------------------
 
-def _sparse_rows_of(m: Matrix) -> list:
-    rows = []
-    for row in m.entries:
-        rows.append({j: a for j, a in enumerate(row) if a})
-    return rows
-
-
 def _reduced_echelon(rows: list, ncols: int) -> "tuple[list, list]":
     """Gauss-Jordan on sparse rows; returns (reduced rows, pivot columns).
 
@@ -458,18 +460,22 @@ def _reduced_echelon(rows: list, ncols: int) -> "tuple[list, list]":
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _reduced_echelon(_sparse_rows_of(m), m.cols)
+    _, pivots = _reduced_echelon(m.sparse_rows(), m.cols)
     return len(pivots)
+
+
+def rows_of_columns(columns: list, nrows: int) -> list:
+    """The sparse rows of the nrows-row matrix whose j-th column is columns[j]."""
+    rows: list = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            rows[i][j] = a
+    return rows
 
 
 def rank_of_sparse_columns(columns: list, nrows: int) -> int:
     """Rank of the matrix whose j-th column is the sparse dict columns[j]."""
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for i, a in col.items():
-            if a:
-                rows.setdefault(i, {})[j] = a
-    _, pivots = _reduced_echelon(list(rows.values()), len(columns))
+    _, pivots = _reduced_echelon(rows_of_columns(columns, nrows), len(columns))
     return len(pivots)
 
 
@@ -490,8 +496,7 @@ def _kernel_from_echelon(red: list, pivots: list, ncols: int) -> list:
 
 def kernel(m: Matrix) -> list:
     """Exact basis of the null space, as a list of tuple vectors."""
-    red, pivots = _reduced_echelon(_sparse_rows_of(m), m.cols)
-    return _kernel_from_echelon(red, pivots, m.cols)
+    return kernel_of_sparse_rows(m.sparse_rows(), m.cols)
 
 
 def kernel_of_sparse_rows(rows: list, ncols: int) -> list:
@@ -511,34 +516,26 @@ class LinearSolution:
         return len(self.kernel)
 
 
-def solve_linear(m: Matrix, rhs) -> Optional[LinearSolution]:
-    """Solve m*x = rhs exactly; None means the system is inconsistent.
+def solve_linear(rows: list, rhs, ncols: int) -> Optional[LinearSolution]:
+    """Solve rows * x = rhs exactly; None means the system is inconsistent.
 
-    ``rhs`` may be a column Matrix or a tuple vector of length m.rows.
+    ``rows`` are sparse dicts column -> coefficient over ``ncols`` unknowns,
+    and ``rhs`` holds one right-hand side per row. The particular solution
+    and the kernel are read from one reduced echelon form: its rhs column is
+    not a pivot when the system is consistent, so its other columns are the
+    reduced echelon form of the rows alone.
     """
-    if isinstance(rhs, Matrix):
-        if rhs.cols != 1:
-            raise ValueError("rhs must be a single column")
-        rhs = rhs.col(0)
-    else:
-        rhs = vector(rhs)
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length %d, expected %d" % (len(rhs), m.rows))
-    ncols = m.cols
-    aug_rows = []
-    for i in range(m.rows):
-        r = {j: a for j, a in enumerate(m.entries[i]) if a}
-        if rhs[i]:
-            r[ncols] = rhs[i]
-        if r:
-            aug_rows.append(r)
+    rhs = vector(rhs)
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length %d, expected %d" % (len(rhs), len(rows)))
+    aug_rows = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
     red, pivots = _reduced_echelon(aug_rows, ncols + 1)
     if ncols in pivots:
         return None
     particular = [ZERO] * ncols
     for pcol, row in zip(pivots, red):
         particular[pcol] = row.get(ncols, ZERO)
-    return LinearSolution(tuple(particular), tuple(kernel(m)))
+    return LinearSolution(tuple(particular), tuple(_kernel_from_echelon(red, pivots, ncols)))
 
 
 def is_bijective(m: Matrix) -> bool:
@@ -550,11 +547,7 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [
-        {j: a for j, a in enumerate(row) if a} for row in m.entries
-    ]
-    for i in range(n):
-        aug[i][n + i] = ONE
+    aug = [{**row, n + i: ONE} for i, row in enumerate(m.sparse_rows())]
     red, pivots = _reduced_echelon(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

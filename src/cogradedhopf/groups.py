@@ -10,6 +10,7 @@ window is recorded in the resulting report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 
@@ -44,13 +45,17 @@ class GroupOracle:
             raise ValueError("group %s is infinite" % self.name)
         return len(self.elements)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {p: i for i, p in enumerate(self.elements)}
+
     def index(self, p) -> int:
-        return self.elements.index(p)
+        return self._positions[p]
 
     def sort_key(self, p):
         """Deterministic ordering key: table position, or the encoded string."""
         if self.elements is not None:
-            return self.elements.index(p)
+            return self._positions[p]
         if isinstance(p, int):
             return p
         return self.encode(p)

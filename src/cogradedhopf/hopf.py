@@ -882,9 +882,9 @@ def modular_element(
                     vec = tuple(acc)
                 coeff = phi.value(a)
                 for k in range(dq):
-                    lhs_rows.append([coeff if t == k else ZERO for t in range(dq)])
+                    lhs_rows.append({k: coeff})
                     rhs.append(vec[k])
-        sol = solve_linear(Matrix.from_rows(lhs_rows), tuple(rhs))
+        sol = solve_linear(lhs_rows, rhs, dq)
         if sol is None:
             raise ValueError(
                 "inconsistent modular system at component %s: the functional is "
@@ -986,15 +986,9 @@ def modular_automorphism(
                             row[var_index[(p, k, i)]] = c
                     target = phi.value(a * b)
                     if row or target:
-                        rows.append((row, target))
-    m_rows = []
-    m_rhs = []
-    for row, target in rows:
-        m_rows.append([ZERO] * len(var_list))
-        for k, c in row.items():
-            m_rows[-1][k] = c
-        m_rhs.append(target)
-    sol = solve_linear(Matrix.from_rows(m_rows), tuple(m_rhs))
+                        rows.append(row)
+                        rhs.append(target)
+    sol = solve_linear(rows, rhs, len(var_list))
     if sol is None:
         raise ValueError("no modular automorphism matches the functional")
     family = {}
@@ -1109,7 +1103,7 @@ def make_group_algebra(g: GroupOracle) -> MhaStructure:
         group=g,
         mode=GRADED,
         component_fn=lambda p: shared,
-        block_fn=lambda p, q: one,
+        block_fn=lambda p, q: {(0, 0): {0: ONE}},
         unit_components={g.identity: (ONE,)},
         label="group-algebra-%s" % g.name,
     )
@@ -1139,10 +1133,9 @@ def make_ungraded_group_algebra(g: GroupOracle) -> MhaStructure:
     if not g.is_finite:
         raise ValueError("needs a finite group")
     n = g.order
-    idx = {p: i for i, p in enumerate(g.elements)}
     constants = [
         [
-            [ONE if idx[g.multiply(g.elements[i], g.elements[j])] == k else ZERO for k in range(n)]
+            [ONE if g.index(g.multiply(g.elements[i], g.elements[j])) == k else ZERO for k in range(n)]
             for j in range(n)
         ]
         for i in range(n)
@@ -1150,7 +1143,7 @@ def make_ungraded_group_algebra(g: GroupOracle) -> MhaStructure:
     unit = [ONE if p == g.identity else ZERO for p in g.elements]
     inv_perm = Matrix.from_rows(
         [
-            [ONE if idx[g.invert(g.elements[j])] == i else ZERO for j in range(n)]
+            [ONE if g.index(g.invert(g.elements[j])) == i else ZERO for j in range(n)]
             for i in range(n)
         ]
     )

@@ -188,12 +188,11 @@ def _index_table(table, n: int, what: str) -> list:
 def _group_to_doc(g: GroupOracle) -> dict:
     if not g.is_finite:
         return {"kind": "builtin", "name": g.name}
-    index = {p: i for i, p in enumerate(g.elements)}
     return {
         "kind": "table",
         "elements": [g.encode(p) for p in g.elements],
         "table": [
-            [index[g.multiply(p, q)] for q in g.elements] for p in g.elements
+            [g.index(g.multiply(p, q)) for q in g.elements] for p in g.elements
         ],
     }
 
@@ -274,8 +273,13 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
             raise SpecFormatError("graded mode needs a products section")
 
         def block_fn(p, q):
-            raw = _section_lookup(products, "%s|%s" % (g.encode(p), g.encode(q)), "product block")
-            return _matrix(raw, "products")
+            key = "%s|%s" % (g.encode(p), g.encode(q))
+            raw = _section_lookup(products, key, "product block")
+            dq = algebra.dim(q)
+            m = _shaped(_matrix(raw, "products"), algebra.dim(g.multiply(p, q)),
+                        algebra.dim(p) * dq, "product block %s" % key)
+            # column i*dq + j of the block is the product of e_i and e_j
+            return {divmod(n, dq): col for n, col in enumerate(m.sparse_columns()) if col}
 
         unit_section = doc.get("unit_element")
         if unit_section:
@@ -411,10 +415,9 @@ def _action_from_doc(structure: MhaStructure, section: dict) -> Action:
         if not g.is_finite:
             raise SpecFormatError("table self-actions need a finite group")
         table = _index_table(rho_spec["table"], g.order, "rho table")
-        index = {p: i for i, p in enumerate(g.elements)}
 
         def rho_fn(p, q):
-            return g.elements[table[index[p]][index[q]]]
+            return g.elements[table[g.index(p)][g.index(q)]]
 
         rho = GroupSelfAction("table", rho_fn)
     else:

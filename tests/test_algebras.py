@@ -36,7 +36,7 @@ def group_algebra(group):
         group=group,
         mode=GRADED,
         component_fn=lambda p: shared,
-        block_fn=lambda p, q: Matrix.from_rows([[1]]),
+        block_fn=lambda p, q: {(0, 0): {0: ONE}},
         unit_components={group.identity: (ONE,)},
         label="group-algebra",
     )
@@ -202,7 +202,7 @@ def c2_algebra(group):
 
 def graded_c2_algebra(group):
     """Graded: (u_p (x) e_i)(u_q (x) e_j) = u_pq (x) e_(i+j mod 2)."""
-    block = Matrix.from_rows([[1, 0, 0, 1], [0, 1, 1, 0]])
+    block = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}, (1, 1): {0: ONE}}
     return GradedAlgebra(
         group=group, mode=GRADED, component_fn=lambda p: ComponentAlgebra(2),
         block_fn=lambda p, q: block, unit_components={group.identity: (ONE, ZERO)},

@@ -35,6 +35,9 @@ DUAL_EXPORT = {
     "constant-cz2-s3": "b24009fc1f0a1529d59127ebab1ad02c55cceb1be67fe0b7a021fd7ffd7a37cc",
 }
 
+# ``dual builtin:kg-integers --window=-2..2``: the dual of an infinite structure
+DUAL_INTEGERS = "c3f1d051b6fc1050c084d00013bc6add77253743349a265b515c3f6042a5400f"
+
 DOUBLE_GACS3_ADJOINT = "1f65bbf9bf8cf8daf5f20039c82e4498667f232e52077194f0db41e219ab34df"
 VERIFY_DOUBLE_EXPORT = "ad4a6a3ba17bc19e1cab06b1913375e21cb65d031b882bf79fcaa640492de6bc"
 
@@ -56,6 +59,11 @@ def test_verify_builtin_digest(capsys, name):
 @pytest.mark.parametrize("name", sorted(DUAL))
 def test_dual_builtin_digest(capsys, name):
     assert run_digest(capsys, ["dual", "builtin:" + name]) == (0, DUAL[name])
+
+
+def test_dual_infinite_builtin_digest(capsys):
+    argv = ["dual", "builtin:kg-integers", "--window=-2..2"]
+    assert run_digest(capsys, argv) == (0, DUAL_INTEGERS)
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_EXPORT))

@@ -20,6 +20,7 @@ from cogradedhopf.exact import (
     rank,
     rank_of_sparse_columns,
     rational_sqrt,
+    rows_of_columns,
     solve_linear,
 )
 
@@ -82,7 +83,7 @@ def test_division_by_zero_raises():
 
 def test_solve_identity_triple():
     m = Matrix.identity(3)
-    sol = solve_linear(m, (ZERO, ONE, ZERO))
+    sol = solve_linear(m.sparse_rows(), (ZERO, ONE, ZERO), 3)
     assert sol is not None
     assert sol.particular == (ZERO, ONE, ZERO)
     assert sol.kernel == ()
@@ -90,7 +91,11 @@ def test_solve_identity_triple():
 
 def test_solve_zero_map():
     m = Matrix.zeros(2, 2)
-    sol = solve_linear(m, (ZERO, ZERO))
+    sol = solve_linear(m.sparse_rows(), (ZERO, ZERO), 2)
+    assert sol.particular == (ZERO, ZERO)
+    assert sol.dimension == 2
+    # explicit zero coefficients are the same zero map
+    sol = solve_linear([{0: ZERO}, {0: ZERO, 1: ZERO}], (ZERO, ZERO), 2)
     assert sol.particular == (ZERO, ZERO)
     assert sol.dimension == 2
 
@@ -100,21 +105,27 @@ def test_solve_rank_one_complex_system():
     # so rhs (1, -i) is consistent, the particular solution with the free
     # variable set to zero is (1, 0), and the kernel is spanned by (-i, 1).
     m = Matrix.from_rows([[ONE, I], [-I, ONE]])
-    sol = solve_linear(m, (ONE, -I))
+    sol = solve_linear(m.sparse_rows(), (ONE, -I), 2)
     assert sol is not None
     assert sol.particular == (ONE, ZERO)
     assert len(sol.kernel) == 1
     assert sol.kernel[0] == (-I, ONE)
+    # the same system with an explicit zero coefficient and a row of zeros
+    rows = [{0: ONE, 1: I}, {0: -I, 1: ONE}, {0: ZERO}]
+    assert solve_linear(rows, (ONE, -I, ZERO), 2) == sol
 
 
 def test_solve_inconsistent_returns_none():
     m = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve_linear(m, (ONE, ZERO)) is None
+    assert solve_linear(m.sparse_rows(), (ONE, ZERO), 2) is None
+    # an empty row, or one of explicit zeros, with a nonzero rhs reads 0 = rhs
+    assert solve_linear([{0: ONE}, {}], (ONE, ONE), 2) is None
+    assert solve_linear([{0: ONE}, {1: ZERO}], (ONE, I), 2) is None
 
 
 def test_solve_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        solve_linear(Matrix.identity(2), (ONE,))
+        solve_linear(Matrix.identity(2).sparse_rows(), (ONE,), 2)
 
 
 def test_kernel_identity_and_zero():
@@ -147,11 +158,13 @@ def test_solve_then_remultiply_reproduces_rhs():
         m = _random_matrix(rng, rows, cols)
         x = tuple(GR(rng.randint(-3, 3)) for _ in range(cols))
         rhs = m.apply(x)
-        sol = solve_linear(m, rhs)
+        sol = solve_linear(m.sparse_rows(), rhs, cols)
         assert sol is not None
         assert m.apply(sol.particular) == rhs
         for v in sol.kernel:
             assert m.apply(v) == (ZERO,) * rows
+        # the kernel read from the augmented elimination matches a separate one
+        assert sol.kernel == tuple(kernel(m))
 
 
 def test_rank_plus_nullity_is_cols():
@@ -191,6 +204,7 @@ def test_sparse_column_rank_matches_dense():
             {i: m.entry(i, j) for i in range(rows) if m.entry(i, j)} for j in range(cols)
         ]
         assert rank_of_sparse_columns(sparse_cols, rows) == rank(m)
+        assert rows_of_columns(sparse_cols, rows) == m.sparse_rows()
 
 
 # -- Hermitian PSD -----------------------------------------------------------

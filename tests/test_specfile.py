@@ -316,6 +316,28 @@ def test_graded_delta_block_shape_is_checked(tmp_path, capsys):
     assert "delta block g1 has shape 2x1, expected 1x1" in capsys.readouterr().err
 
 
+def test_graded_product_block_shape_is_checked(tmp_path, capsys):
+    doc = structure_to_doc(make_group_algebra(cyclic_group(2)))
+    doc["products"]["g1|g1"] = [["1", "0"]]
+    path = tmp_path / "graded.json"
+    save_spec(str(path), doc)
+    code = main(["verify", str(path)])
+    assert code == 2
+    assert "product block g1|g1 has shape 1x2, expected 1x1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "builtin:kg-s3", "--report"],
+    ["double", "--pair", "builtin:pairing-gacs3", "--action", "trivial", "--out"],
+    ["dual", "builtin:kg-z2", "--out"],
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    code = main(argv + [str(tmp_path / "missing" / "out.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _set(section, key, value):
     """An edit of the README spec that sets doc[section][key] to value."""
     return lambda doc: doc[section].update({key: value})
