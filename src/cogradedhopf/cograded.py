@@ -342,17 +342,24 @@ class DeformedBlockDelta(BlockComultiplication):
         g = self.algebra.group
         return g.multiply(self.action.rho.apply(q, p), q)
 
-    def firsts_for(self, r, q, candidates=None):
+    def firsts_for(self, r, q):
         g = self.algebra.group
         qinv = g.invert(q)
         return [self.action.rho.apply(qinv, g.multiply(r, qinv))]
 
-    def seconds_for(self, r, p, candidates=None):
-        if candidates is None:
-            if not self.algebra.group.is_finite:
-                raise ValueError("deformed second-index search needs candidates")
-            candidates = self.algebra.group.elements
-        return [q for q in candidates if self.source(p, q) == r]
+    def seconds_for(self, r, p):
+        g = self.algebra.group
+        if g.is_finite:
+            return [q for q in g.elements if self.source(p, q) == r]
+        # solve rho_q(p) q = r: the source is pq for the trivial self-action
+        # and qp for the adjoint one, the only two a spec allows on an
+        # infinite group
+        if self.action.rho.name == "trivial":
+            return [g.multiply(g.invert(p), r)]
+        if self.action.rho.name == "adjoint":
+            return [g.multiply(r, g.invert(p))]
+        raise ValueError("second indices of the %s self-action on the infinite group %s "
+                         "have no closed form" % (self.action.rho.name, g.name))
 
 
 def deform(b: MhaStructure, action: Action, window: Window) -> MhaStructure:

@@ -29,7 +29,6 @@ from .exact import (
     ONE,
     ZERO,
     Matrix,
-    accumulate,
     inverse,
     is_bijective,
     rank_of_sparse_columns,
@@ -123,8 +122,8 @@ def make_group_function_pairing(g) -> Pairing:
 # ---------------------------------------------------------------------------
 
 
-def act_b_on_a(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedElement:
-    """b |> a: the pairing collapses the second coproduct leg of a."""
+def _act_on_a(pairing: Pairing, b: GradedElement, a: GradedElement, leg: int) -> GradedElement:
+    """Collapse coproduct leg ``leg`` (1 or 2) of a against b through the pairing."""
     aside = pairing.a_side
     t = aside.delta_part_by_second(a, None)
 
@@ -134,55 +133,45 @@ def act_b_on_a(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedEl
             return (ZERO,) * aside.algebra.dim(q)
         return pairing.covector_on_a(q, bv)
 
-    return t.apply_covector_leg2(cov)
+    return t.apply_covector_leg1(cov) if leg == 1 else t.apply_covector_leg2(cov)
+
+
+def _act_on_b(pairing: Pairing, a: GradedElement, b: GradedElement, leg: int) -> GradedElement:
+    """Collapse coproduct leg ``leg`` (1 or 2) of b against a through the pairing."""
+    bside = pairing.b_side
+    out = bside.algebra.zero()
+    for s, av in a.comps.items():
+
+        def cov(q, av=av, s=s):
+            if q != s:
+                return (ZERO,) * bside.algebra.dim(q)
+            return pairing.covector_on_b(q, av)
+
+        if leg == 1:
+            out = out + bside.delta_part_by_first(b, [s]).apply_covector_leg1(cov)
+        else:
+            out = out + bside.delta_part_by_second(b, [s]).apply_covector_leg2(cov)
+    return out
+
+
+def act_b_on_a(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedElement:
+    """b |> a: the pairing collapses the second coproduct leg of a."""
+    return _act_on_a(pairing, b, a, 2)
 
 
 def act_a_on_a(pairing: Pairing, a: GradedElement, b: GradedElement) -> GradedElement:
     """a <| b: the pairing collapses the first coproduct leg of a."""
-    aside = pairing.a_side
-    t = aside.delta_part_by_second(a, None)
-
-    def cov(q):
-        bv = b.comps.get(q)
-        if bv is None:
-            return (ZERO,) * aside.algebra.dim(q)
-        return pairing.covector_on_a(q, bv)
-
-    return t.apply_covector_leg1(cov)
+    return _act_on_a(pairing, b, a, 1)
 
 
 def act_a_on_b(pairing: Pairing, a: GradedElement, b: GradedElement) -> GradedElement:
     """a |> b: the pairing collapses the second coproduct leg of b."""
-    bside = pairing.b_side
-    out = bside.algebra.zero()
-    for s, av in a.comps.items():
-        part = bside.delta_part_by_second(b, [s])
-
-        def cov(q, av=av, s=s):
-            if q != s:
-                return (ZERO,) * bside.algebra.dim(q)
-            return pairing.covector_on_b(q, av)
-
-        out = out + part.apply_covector_leg2(cov)
-    return out
+    return _act_on_b(pairing, a, b, 2)
 
 
-def act_b_on_b(pairing: Pairing, b: GradedElement, a: GradedElement,
-               window: Optional[Window] = None) -> GradedElement:
-    """b <| a: the pairing collapses the first coproduct leg of b, scanning ``window``."""
-    bside = pairing.b_side
-    out = bside.algebra.zero()
-    scan = bside.scan_candidates(window)
-    for s, av in a.comps.items():
-        part = bside.delta_part_by_first(b, [s], scan)
-
-        def cov(q, av=av, s=s):
-            if q != s:
-                return (ZERO,) * bside.algebra.dim(q)
-            return pairing.covector_on_b(q, av)
-
-        out = out + part.apply_covector_leg1(cov)
-    return out
+def act_b_on_b(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedElement:
+    """b <| a: the pairing collapses the first coproduct leg of b."""
+    return _act_on_b(pairing, a, b, 1)
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,7 @@ def build_module_actions(pairing: Pairing, window: Window):
                 for j in range(bside.algebra.dim(r)):
                     bj = bside.algebra.basis_element(r, j)
                     cols_fwd.append(act_a_on_b(pairing, ai, bj).coeff(target_fwd))
-                    cols_bwd.append(act_b_on_b(pairing, bj, ai, window).coeff(target_bwd))
+                    cols_bwd.append(act_b_on_b(pairing, bj, ai).coeff(target_bwd))
                 a_on_b[(s, i, r)] = Matrix.from_columns(cols_fwd)
                 b_on_b[(s, i, r)] = Matrix.from_columns(cols_bwd)
 
@@ -255,8 +244,8 @@ def build_module_actions(pairing: Pairing, window: Window):
                                 wit["assoc-ab"] = "(%s,%d),(%s,%d),(%s,%d)" % (
                                     g.encode(s), i, g.encode(t), k, g.encode(r), j)
                         if wit["assoc-ba"] is None:
-                            lhs = act_b_on_b(pairing, bj, xy, window)
-                            rhs = act_b_on_b(pairing, act_b_on_b(pairing, bj, x, window), y, window)
+                            lhs = act_b_on_b(pairing, bj, xy)
+                            rhs = act_b_on_b(pairing, act_b_on_b(pairing, bj, x), y)
                             if lhs != rhs:
                                 wit["assoc-ba"] = "(%s,%d),(%s,%d),(%s,%d)" % (
                                     g.encode(s), i, g.encode(t), k, g.encode(r), j)
@@ -393,7 +382,6 @@ def check_pairing(pairing: Pairing, window: Window) -> CertificateReport:
 
     wit_a = None
     wit_a_act = None
-    scan = bside.scan_candidates(window)
     for s, t in window.pairs():
         for i in range(aside.algebra.dim(s)):
             a1 = aside.algebra.basis_element(s, i)
@@ -421,7 +409,7 @@ def check_pairing(pairing: Pairing, window: Window) -> CertificateReport:
                                 g.encode(s), i, g.encode(t), k, g.encode(r), j)
                         if wit_a_act is None:
                             alt1 = pairing.pair(a1, act_a_on_b(pairing, a2, b))
-                            alt2 = pairing.pair(a2, act_b_on_b(pairing, b, a1, window))
+                            alt2 = pairing.pair(a2, act_b_on_b(pairing, b, a1))
                             if lhs != alt1 or lhs != alt2:
                                 wit_a_act = "a=(%s,%d) a'=(%s,%d) b=(%s,%d)" % (
                                     g.encode(s), i, g.encode(t), k, g.encode(r), j)
@@ -638,7 +626,9 @@ class TwistCalculus:
         self.window = window
         self.aside = pairing.a_side
         self.bside = pairing.b_side
-        self.scan = self.bside.scan_candidates(window)
+        if not pairing.group.is_finite:
+            raise ValueError("the twist maps need a finite group")
+        self.scan = pairing.group.elements
         self._sinv = self.bside.antipode.inverse_on(self.scan)
         self._r_cache: dict = {}
 
@@ -951,7 +941,9 @@ class DoubleStructure:
     Elements are represented as tensors in A (x) B; ``mha`` is the verified
     view: graded over the group with the p-component spanned by A against
     the inverse B-component when the action is a crossing, and over the
-    trivial group otherwise.
+    trivial group otherwise. ``comp_basis`` lists the basis tensors of each
+    view component in their local order, and ``position`` is the one map
+    from A (x) B basis tensors to view coordinates.
     """
 
     pairing: Pairing
@@ -961,48 +953,33 @@ class DoubleStructure:
     crossing: bool
     a_basis: list  # global A basis, (component, index) in group order
     b_basis: list
+    comp_basis: dict  # view component P -> its (s, i, r, j) keys in local order
     label: str = ""
     deformed_delta: Optional[DeformedBlockDelta] = None
     _mul_cache: dict = field(default_factory=dict, repr=False)
     _dbar_cache: dict = field(default_factory=dict, repr=False)
 
-    # -- bases and coordinates -------------------------------------------------
+    # -- coordinates -------------------------------------------------------------
 
     @cached_property
-    def _positions(self) -> tuple:
-        """Index maps of the A and B bases: (component, index) -> position."""
-        return tuple({key: n for n, key in enumerate(basis)} for basis in (self.a_basis, self.b_basis))
-
-    def a_index(self, s, i) -> int:
-        return self._positions[0][(s, i)]
-
-    def b_index(self, r, j) -> int:
-        return self._positions[1][(r, j)]
-
-    def flat_index(self, s, i, r, j) -> int:
-        return self.a_index(s, i) * len(self.b_basis) + self.b_index(r, j)
-
-    def tensor_to_flat(self, t: TensorElement) -> dict:
-        out = {}
-        for s, r, i, j, c in t.terms():
-            out[self.flat_index(s, i, r, j)] = c
-        return out
+    def position(self) -> dict:
+        """The view coordinates of the basis tensors: (s, i, r, j) -> (P, k)."""
+        return {key: (P, k) for P, basis in self.comp_basis.items() for k, key in enumerate(basis)}
 
     def view_coords(self, t: TensorElement) -> GradedElement:
         """The element of the certified view carried by an A (x) B tensor."""
-        alg = self.mha.algebra
-        g = self.pairing.group
         acc: dict = {}
         for s, r, i, j, c in t.terms():
-            if self.crossing:
-                comp = g.invert(r)
-                db = self.pairing.b_side.algebra.dim(r)
-                local = self.a_index(s, i) * db + j
-            else:
-                comp = alg.group.identity
-                local = self.flat_index(s, i, r, j)
-            acc.setdefault(comp, {})[local] = c  # distinct terms have distinct indices
-        return alg.from_sparse(acc)
+            P, k = self.position[(s, i, r, j)]
+            acc.setdefault(P, {})[k] = c  # distinct terms have distinct positions
+        return self.mha.algebra.from_sparse(acc)
+
+    def view_row(self, t: TensorElement, P) -> dict:
+        """The sparse row of an A (x) B tensor that lies in view component P."""
+        comps = self.view_coords(t).comps
+        if comps.keys() - {P}:
+            raise ValueError("tensor leaves the view component %s" % self.mha.group.encode(P))
+        return comps.get(P, {})
 
     def basis_tensor(self, s, i, r, j) -> TensorElement:
         t = TensorElement(self.pairing.a_side.algebra, self.pairing.b_side.algebra)
@@ -1043,8 +1020,8 @@ class DoubleStructure:
         unit_a = self.pairing.a_side.unit_element()
         return TensorElement.of_pair(unit_a, b)
 
-    def dbar(self, s, i, r, j) -> dict:
-        """The coproduct of a basis vector, as a dict over flat index pairs.
+    def dbar(self, s, i, r, j) -> TensorElement:
+        """The coproduct of a basis vector, a tensor over the view on both legs.
 
         Computed as the product of the embedded co-opposite A legs with the
         embedded deformed B legs inside the double, not from a shortcut.
@@ -1054,11 +1031,11 @@ class DoubleStructure:
             self._dbar_cache[key] = self._leg_products(s, i, r, j, b_first=False)
         return self._dbar_cache[key]
 
-    def _leg_products(self, s, i, r, j, b_first: bool) -> dict:
+    def _leg_products(self, s, i, r, j, b_first: bool) -> TensorElement:
         """Sum over the co-opposite A legs and the deformed B legs of the basis
-        vector (s, i, r, j) of the double products of the embedded legs, as a
-        dict over flat index pairs; ``b_first`` puts each B leg before its A
-        leg, which gives the reversed multiplier product."""
+        vector (s, i, r, j) of the double products of the embedded legs, in
+        view coordinates on both legs; ``b_first`` puts each B leg before its
+        A leg, which gives the reversed multiplier product."""
         aside = self.pairing.a_side
         bside = self.pairing.b_side
         g = self.pairing.group
@@ -1071,7 +1048,8 @@ class DoubleStructure:
             ea, eb = self.embed_a(a), self.embed_b(b)
             return self.dmul(eb, ea) if b_first else self.dmul(ea, eb)
 
-        out: dict = {}
+        view = self.mha.algebra
+        out = TensorElement(view, view)
         for q2 in self.twist.scan:
             p2 = self.action.rho.apply(g.invert(q2), g.multiply(r, g.invert(q2)))
             cols = self.deformed_delta.block_cols(p2, q2)
@@ -1087,10 +1065,7 @@ class DoubleStructure:
                                    bside.algebra.basis_element(p2, m1))
                     right = product(aside.algebra.basis_element(s, k1),
                                     bside.algebra.basis_element(q2, m2))
-                    coeff = ca * cb
-                    flat_right = self.tensor_to_flat(right)
-                    for f1, c1 in self.tensor_to_flat(left).items():
-                        accumulate(out, (((f1, f2), c2) for f2, c2 in flat_right.items()), coeff * c1)
+                    out.accumulate_outer(self.view_coords(left), self.view_coords(right), ca * cb)
         return out
 
     def sbar_tensor(self, s, i, r, j) -> TensorElement:
@@ -1156,19 +1131,8 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
     a_basis = [(s, i) for s in g.elements for i in range(aside.algebra.dim(s))]
     b_basis = [(r, j) for r in g.elements for j in range(bside.algebra.dim(r))]
 
-    label = "double(%s; %s)" % (pairing.label, action.label)
-    d = DoubleStructure(
-        pairing=pairing,
-        action=action,
-        twist=twist,
-        mha=None,  # filled below
-        crossing=crossing,
-        a_basis=a_basis,
-        b_basis=b_basis,
-        label=label,
-    )
-
-    na = len(a_basis)
+    # the one grading decision: a crossing grades the double over the group,
+    # with A against B_{p^-1} at p; otherwise the view is over the trivial group
     if crossing:
         view_group = g
         comp_basis = {
@@ -1186,41 +1150,42 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
             ]
         }
 
-    comp_index = {p: {key: n for n, key in enumerate(basis)} for p, basis in comp_basis.items()}
+    label = "double(%s; %s)" % (pairing.label, action.label)
+    d = DoubleStructure(
+        pairing=pairing,
+        action=action,
+        twist=twist,
+        mha=None,  # filled below
+        crossing=crossing,
+        a_basis=a_basis,
+        b_basis=b_basis,
+        comp_basis=comp_basis,
+        label=label,
+    )
+    has_star = aside.star is not None and bside.star is not None
     components: dict = {}
+
+    def dense(row: dict, n: int) -> list:
+        return [row.get(k, ZERO) for k in range(n)]
 
     def component(p):
         if p not in components:
             basis = comp_basis[p]
-            index = comp_index[p]
             dim = len(basis)
             products = {}
-            for x, (s1, i1, r1, j1) in enumerate(basis):
-                for y, (s2, i2, r2, j2) in enumerate(basis):
-                    prod = d._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
-                    entry = {}
-                    for sp, rp, ip, jp, c in prod.terms():
-                        entry[index[(sp, ip, rp, jp)]] = c
+            for x, key1 in enumerate(basis):
+                for y, key2 in enumerate(basis):
+                    entry = d.view_row(d._basis_product(key1 + key2), p)
                     if entry:
                         products[(x, y)] = entry
-            # the unit of a crossing component pairs the A unit with 1_{p^-1}
-            unit_b = bside.unit_element()
-            if crossing:
-                unit_b = unit_b.restrict([g.invert(p)])
-            unit_vec = [ZERO] * dim
-            for sp, rp, ip, jp, c in TensorElement.of_pair(aside.unit_element(), unit_b).terms():
-                unit_vec[index[(sp, ip, rp, jp)]] = c
+            # the unit of component p is the part of 1 (x) 1 that lies in it
+            unit = d.view_coords(TensorElement.of_pair(aside.unit_element(), bside.unit_element()))
             star = None
-            if aside.star is not None and bside.star is not None:
-                cols = []
-                for (s1, i1, r1, j1) in basis:
-                    img = d.star_tensor(s1, i1, r1, j1)
-                    col = [ZERO] * dim
-                    for sp, rp, ip, jp, c in img.terms():
-                        col[index[(sp, ip, rp, jp)]] = c
-                    cols.append(col)
-                star = Matrix.from_columns(cols)
-            components[p] = ComponentAlgebra(dim, products, unit=unit_vec, star=star)
+            if has_star:
+                star = Matrix.from_columns(
+                    [dense(d.view_row(d.star_tensor(*key), p), dim) for key in basis])
+            components[p] = ComponentAlgebra(
+                dim, products, unit=dense(unit.comps.get(p, {}), dim), star=star)
         return components[p]
 
     view_alg = GradedAlgebra(
@@ -1231,52 +1196,26 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
     )
 
     def delta_cols(P, Q):
-        src = view_group.multiply(P, Q)
-        basis_src = comp_basis[src]
+        # block (P, Q) of the coproduct of each basis vector of the source
         dq = len(comp_basis[Q])
-        cols = []
-        for (s, i, r, j) in basis_src:
-            pair_dict = d.dbar(s, i, r, j)
-            col = {}
-            for (f1, f2), c in pair_dict.items():
-                s1, i1, r1, j1 = _unflatten(d, f1)
-                s2, i2, r2, j2 = _unflatten(d, f2)
-                if crossing:
-                    if g.invert(r1) != P or g.invert(r2) != Q:
-                        continue
-                    k1 = comp_index[P][(s1, i1, r1, j1)]
-                    k2 = comp_index[Q][(s2, i2, r2, j2)]
-                else:
-                    k1 = comp_index[view_group.identity][(s1, i1, r1, j1)]
-                    k2 = comp_index[view_group.identity][(s2, i2, r2, j2)]
-                col[k1 * dq + k2] = c
-            cols.append(col)
-        return cols
+        return [
+            {k1 * dq + k2: c for (k1, k2), c in d.dbar(*key).blocks.get((P, Q), {}).items()}
+            for key in comp_basis[view_group.multiply(P, Q)]
+        ]
 
     def counit_fn(P):
-        out = []
-        for (s, i, r, j) in comp_basis[P]:
-            ca = aside.counit_covector(s)[i]
-            cb = bside.counit_covector(r)[j]
-            out.append(ca * cb)
-        return tuple(out)
+        return tuple(aside.counit_covector(s)[i] * bside.counit_covector(r)[j]
+                     for (s, i, r, j) in comp_basis[P])
 
     def antipode_fn(P):
         target = view_group.invert(P)
-        index_t = comp_index[target]
-        cols = []
-        for (s, i, r, j) in comp_basis[P]:
-            img = d.sbar_tensor(s, i, r, j)
-            col = [ZERO] * len(index_t)
-            for sp, rp, ip, jp, c in img.terms():
-                col[index_t[(sp, ip, rp, jp)]] = c
-            cols.append(col)
-        return target, Matrix.from_columns(cols)
+        dim = len(comp_basis[target])
+        return target, Matrix.from_columns(
+            [dense(d.view_row(d.sbar_tensor(*key), target), dim) for key in comp_basis[P]])
 
     def star_fn(P):
         return P, component(P).star
 
-    has_star = aside.star is not None and bside.star is not None
     if has_star:
         witness = _star_involution_witness(d, window)
         if witness is not None:
@@ -1294,13 +1233,6 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
     )
     d.mha = view
     return d
-
-
-def _unflatten(d: DoubleStructure, flat: int):
-    nb = len(d.b_basis)
-    s, i = d.a_basis[flat // nb]
-    r, j = d.b_basis[flat % nb]
-    return s, i, r, j
 
 
 # ---------------------------------------------------------------------------
@@ -1329,9 +1261,9 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
             break
         for (s, i) in d.a_basis:
             moved = d.twist.r_basis(r, j, s, i)
-            lhs: dict = {}
+            lhs = TensorElement(d.mha.algebra, d.mha.algebra)
             for sm, rm, im, jm, c in moved.terms():
-                accumulate(lhs, d.dbar(sm, im, rm, jm), c)
+                lhs.accumulate(d.dbar(sm, im, rm, jm), c)
             rhs = d._leg_products(s, i, r, j, b_first=True)
             if lhs != rhs:
                 witness = "b=(%s,%d) a=(%s,%d)" % (g.encode(r), j, g.encode(s), i)
@@ -1420,23 +1352,9 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
         for P, Q in window.pairs():
             if P == Q or witness:
                 continue
-            for (s, i) in d.a_basis:
-                for jp in range(bside.algebra.dim(g.invert(P))):
-                    for (s2, i2) in d.a_basis:
-                        for jq in range(bside.algebra.dim(g.invert(Q))):
-                            prod = d._basis_product(
-                                (s, i, g.invert(P), jp, s2, i2, g.invert(Q), jq)
-                            )
-                            if not prod.is_zero():
-                                witness = "components %s and %s do not annihilate" % (
-                                    g.encode(P), g.encode(Q))
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
+            if any(not d._basis_product(x + y).is_zero()
+                   for x in d.comp_basis[P] for y in d.comp_basis[Q]):
+                witness = "components %s and %s do not annihilate" % (g.encode(P), g.encode(Q))
         rep.add("grading-diagonal", "distinct double components multiply to zero",
                 witness is None, witness)
     return rep
@@ -1473,21 +1391,10 @@ def double_right_integral(
     psi_t = deformed_right_integral(bside, d.action, psi_b)
 
     view = d.mha
-    comp_cov = {}
-    for P in view.group.elements:
-        vals = []
-        if d.crossing:
-            rr = g.invert(P)
-            for (s, i) in d.a_basis:
-                pa = phi_a.covector(s)[i]
-                for j in range(bside.algebra.dim(rr)):
-                    vals.append(pa * psi_t.covector(rr)[j])
-        else:
-            for (s, i) in d.a_basis:
-                pa = phi_a.covector(s)[i]
-                for (r, j) in d.b_basis:
-                    vals.append(pa * psi_t.covector(r)[j])
-        comp_cov[P] = tuple(vals)
+    comp_cov = {
+        P: tuple(phi_a.covector(s)[i] * psi_t.covector(r)[j] for (s, i, r, j) in basis)
+        for P, basis in d.comp_basis.items()
+    }
     psi_d = GradedFunctional(
         view.algebra, lambda P: comp_cov[P], label="double-integral(%s)" % d.label
     )
@@ -1591,20 +1498,10 @@ def double_crossing(d: DoubleStructure) -> Action:
     view = d.mha
 
     def block(p, Q):
-        basis_q = [
-            (s, i, g.invert(Q), j)
-            for (s, i) in d.a_basis
-            for j in range(bside.algebra.dim(g.invert(Q)))
-        ]
+        basis_q = d.comp_basis[Q]
         target = g.multiply(g.multiply(p, Q), g.invert(p))
-        basis_t = [
-            (s, i, g.invert(target), j)
-            for (s, i) in d.a_basis
-            for j in range(bside.algebra.dim(g.invert(target)))
-        ]
-        index_t = {key: n for n, key in enumerate(basis_t)}
         pm = d.action.block(p, g.invert(Q))  # B_{Q^-1} -> B_{(pQp^-1)^-1}
-        rows = [[ZERO] * len(basis_q) for _ in range(len(basis_t))]
+        rows = [[ZERO] * len(basis_q) for _ in d.comp_basis[target]]
         for col, (s, i, rq, j) in enumerate(basis_q):
             ap = a_prime(p, s)
             s_target = g.multiply(g.multiply(p, s), g.invert(p))
@@ -1615,7 +1512,7 @@ def double_crossing(d: DoubleStructure) -> Action:
                 for l in range(pm.rows):
                     cb = pm.entries[l][j]
                     if cb:
-                        row = index_t[(s_target, k, g.invert(target), l)]
+                        _, row = d.position[(s_target, k, g.invert(target), l)]
                         rows[row][col] = ca * cb
         return Matrix.from_rows(rows)
 

@@ -88,11 +88,6 @@ class ComponentMap:
                 accumulate(acc, cols[k], c.conj() if self.antilinear else c)
         return self.algebra_out.from_sparse(out)
 
-    def linear_block_family(self) -> Callable:
-        """The (target, matrix) family with antilinearity stripped, for leg maps
-        that handle coefficient conjugation themselves."""
-        return self.fn
-
     def inverse_on(self, candidates) -> "ComponentMap":
         """Invert the family on a finite candidate set of source components."""
         table = {}
@@ -140,11 +135,11 @@ class BlockComultiplication:
     def source(self, p, q):
         raise NotImplementedError
 
-    def firsts_for(self, r, q, candidates=None) -> list:
+    def firsts_for(self, r, q) -> list:
         """First indices p of blocks (p, q) whose source is r."""
         raise NotImplementedError
 
-    def seconds_for(self, r, p, candidates=None) -> list:
+    def seconds_for(self, r, p) -> list:
         """Second indices q of blocks (p, q) whose source is r."""
         raise NotImplementedError
 
@@ -169,11 +164,11 @@ class CogradedBlockDelta(BlockComultiplication):
     def source(self, p, q):
         return self.algebra.group.multiply(p, q)
 
-    def firsts_for(self, r, q, candidates=None):
+    def firsts_for(self, r, q):
         g = self.algebra.group
         return [g.multiply(r, g.invert(q))]
 
-    def seconds_for(self, r, p, candidates=None):
+    def seconds_for(self, r, p):
         g = self.algebra.group
         return [g.multiply(g.invert(p), r)]
 
@@ -194,10 +189,10 @@ class DiagonalDelta(BlockComultiplication):
     def source(self, p, q):
         return p
 
-    def firsts_for(self, r, q, candidates=None):
+    def firsts_for(self, r, q):
         return [r] if q == r else []
 
-    def seconds_for(self, r, p, candidates=None):
+    def seconds_for(self, r, p):
         return [r] if p == r else []
 
     @property
@@ -216,6 +211,7 @@ class MhaStructure:
     star: Optional[ComponentMap] = None
     label: str = ""
     _counit_cache: dict = field(default_factory=dict, repr=False)
+    _t1_t2_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group(self) -> GroupOracle:
@@ -231,13 +227,6 @@ class MhaStructure:
 
     def counit_value(self, x: GradedElement) -> GR:
         return _evaluate(self.counit_covector, x)
-
-    def scan_candidates(self, window: Optional[Window] = None):
-        if self.group.is_finite:
-            return self.group.elements
-        if window is None:
-            raise ValueError("infinite group needs an explicit window")
-        return window.elements
 
     # -- finite parts of Delta(x) ---------------------------------------------
 
@@ -265,7 +254,7 @@ class MhaStructure:
                     self.accumulate_block(out, p, q, xv)
         return out
 
-    def delta_part_by_first(self, x: GradedElement, firsts, scan) -> TensorElement:
+    def delta_part_by_first(self, x: GradedElement, firsts) -> TensorElement:
         """The blocks of Delta(x) whose first index lies in ``firsts``."""
         alg = self.algebra
         out = TensorElement(alg, alg)
@@ -273,7 +262,7 @@ class MhaStructure:
             return self.delta_part_by_second(x, None)
         for r, xv in x.comps.items():
             for p in firsts:
-                for q in self.delta.seconds_for(r, p, scan):
+                for q in self.delta.seconds_for(r, p):
                     self.accumulate_block(out, p, q, xv)
         return out
 
@@ -284,14 +273,14 @@ class MhaStructure:
         part = self.delta_part_by_second(x, y.support())
         return part.mul_leg2_right(y)
 
-    def coproduct_left_cut(self, x: GradedElement, y: GradedElement, scan=None) -> TensorElement:
+    def coproduct_left_cut(self, x: GradedElement, y: GradedElement) -> TensorElement:
         """(x (x) 1) * Delta(y), a finite tensor element."""
-        part = self.delta_part_by_first(y, x.support(), scan or self.scan_candidates())
+        part = self.delta_part_by_first(y, x.support())
         return part.mul_leg1_left(x)
 
-    def coproduct_right_cut_first(self, x: GradedElement, y: GradedElement, scan=None) -> TensorElement:
+    def coproduct_right_cut_first(self, x: GradedElement, y: GradedElement) -> TensorElement:
         """Delta(x) * (y (x) 1)."""
-        part = self.delta_part_by_first(x, y.support(), scan or self.scan_candidates())
+        part = self.delta_part_by_first(x, y.support())
         return part.mul_leg1_right(y)
 
     def coproduct_left_cut_second(self, y: GradedElement, x: GradedElement) -> TensorElement:
@@ -300,9 +289,6 @@ class MhaStructure:
         return part.mul_leg2_left(y)
 
     # -- helpers ----------------------------------------------------------------
-
-    def basis(self, window: Window):
-        return self.algebra.basis_on(window)
 
     def unit_element(self) -> Optional[GradedElement]:
         return self.algebra.unit_element()
@@ -363,7 +349,18 @@ def _flatten_tensor_block(t: TensorElement, p, q, dq: int) -> dict:
 
 
 def check_t1_t2(h: MhaStructure, window: Window) -> CertificateReport:
-    """Decide bijectivity of every T1 and T2 block over the window by exact rank."""
+    """Decide bijectivity of every T1 and T2 block over the window by exact rank.
+
+    The blocks are ranked once per structure and window elements; each call
+    gets its own copy of the report.
+    """
+    done = h._t1_t2_cache.get(window.elements)
+    if done is None:
+        done = h._t1_t2_cache[window.elements] = _t1_t2_report(h, window)
+    return CertificateReport(done.title, window.label, done.subject_digest, list(done.entries))
+
+
+def _t1_t2_report(h: MhaStructure, window: Window) -> CertificateReport:
     alg = h.algebra
     g = h.group
     rep = CertificateReport(
@@ -513,7 +510,6 @@ def check_counit(h: MhaStructure, window: Window) -> CertificateReport:
     rep = CertificateReport(
         title="counit identities (%s)" % h.label, window=window.label, subject_digest=h.label
     )
-    scan = h.scan_candidates(window)
     wit_right = wit_left = wit_hom = None
     basis = {p: [alg.basis_element(p, i) for i in range(alg.dim(p))]
              for p in window.elements}
@@ -526,7 +522,7 @@ def check_counit(h: MhaStructure, window: Window) -> CertificateReport:
                     if t.apply_covector_leg1(h.counit_covector) != xy:
                         wit_right = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
                 if wit_left is None:
-                    t = h.coproduct_left_cut(x, y, scan)
+                    t = h.coproduct_left_cut(x, y)
                     if t.apply_covector_leg2(h.counit_covector) != xy:
                         wit_left = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
                 if wit_hom is None:
@@ -547,7 +543,6 @@ def check_antipode(h: MhaStructure, window: Window) -> CertificateReport:
     rep = CertificateReport(
         title="antipode identities (%s)" % h.label, window=window.label, subject_digest=h.label
     )
-    scan = h.scan_candidates(window)
     fam = h.antipode.fn
     wit1 = wit2 = wit_anti = None
     basis = {p: [alg.basis_element(p, i) for i in range(alg.dim(p))]
@@ -564,7 +559,7 @@ def check_antipode(h: MhaStructure, window: Window) -> CertificateReport:
                     if got != want:
                         wit1 = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
                 if wit2 is None:
-                    t = h.coproduct_left_cut(x, y, scan).map_leg2(fam)
+                    t = h.coproduct_left_cut(x, y).map_leg2(fam)
                     got = t.contract_product()
                     want = eps[q][j] * x
                     if got != want:
@@ -617,7 +612,6 @@ def check_star(h: MhaStructure, window: Window) -> CertificateReport:
     )
     star = h.star
     wit_inv = wit_anti = wit_delta = None
-    star_linear = star.linear_block_family()
     basis = {p: [alg.basis_element(p, i) for i in range(alg.dim(p))]
              for p in window.elements}
     starred = {p: [star.apply(x) for x in basis[p]] for p in window.elements}
@@ -636,8 +630,8 @@ def check_star(h: MhaStructure, window: Window) -> CertificateReport:
                     inner = h.coproduct_left_cut_second(starred[q][j], x)
                     rhs = (
                         inner.conj_coefficients()
-                        .map_leg1(star_linear)
-                        .map_leg2(star_linear)
+                        .map_leg1(star.fn)
+                        .map_leg2(star.fn)
                     )
                     if lhs != rhs:
                         wit_delta = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
@@ -700,7 +694,6 @@ def _invariance_rows(h: MhaStructure, window: Window, side: str):
     unit_elem = h.unit_element() if h.delta.diagonal else None
     if h.delta.diagonal and unit_elem is None:
         raise ValueError("graded-side integrals need a unit element")
-    scan = h.scan_candidates(window)
     for r in window.elements:
         dr = alg.dim(r)
         for i in range(dr):
@@ -736,10 +729,10 @@ def _invariance_rows(h: MhaStructure, window: Window, side: str):
                 for out_comp in window.elements:
                     if side == "left":
                         # component of (id (x) f)Delta(a) at out_comp
-                        partners = h.delta.seconds_for(r, out_comp, scan)
+                        partners = h.delta.seconds_for(r, out_comp)
                         blocks = [(out_comp, q, q) for q in partners]
                     else:
-                        partners = h.delta.firsts_for(r, out_comp, scan)
+                        partners = h.delta.firsts_for(r, out_comp)
                         blocks = [(p, out_comp, p) for p in partners]
                     if any(dual not in wset for _, _, dual in blocks):
                         continue  # couples unknowns outside the window
@@ -850,7 +843,6 @@ def modular_element(
     """The invertible multiplier with (phi (x) id)Delta(a) = phi(a) delta."""
     alg = h.algebra
     g = h.group
-    scan = h.scan_candidates(window)
     phi_domain = set(window.elements) if phi.domain is not None else None
     cache: dict = {}
 
@@ -866,7 +858,7 @@ def modular_element(
                     t = h.delta_part_by_second(a, None)
                     vec = t.apply_covector_leg1(phi.covector).coeff(q)
                 else:
-                    ps = h.delta.firsts_for(r, q, scan)
+                    ps = h.delta.firsts_for(r, q)
                     if phi_domain is not None and any(p not in phi_domain for p in ps):
                         continue  # would touch the functional outside its window
                     acc = [ZERO] * dq

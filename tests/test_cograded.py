@@ -16,6 +16,7 @@ from cogradedhopf.cograded import (
 )
 from cogradedhopf.exact import Matrix, ONE, ZERO
 from cogradedhopf.groups import (
+    GroupSelfAction,
     Window,
     cyclic_group,
     integers_group,
@@ -244,6 +245,33 @@ def test_deformation_keeps_left_integral(kg_s3):
     phi = solve_left_integral(kg_s3, w).functional
     rep = check_integral_membership(d, phi, "left", w)
     assert rep.passed, rep.text()
+
+
+@pytest.mark.parametrize("make_action", [trivial_action, adjoint_shuffle_action])
+def test_deformed_kz_integrals_are_one_dimensional(make_action):
+    # the deformed second indices are solved in closed form, so an equation
+    # whose partner leaves the window is skipped, as on the undeformed side
+    h = make_kg(integers_group())
+    w = Window.integer_range(h.group, -3, 3)
+    deformed = deform(h, make_action(h), w)
+    assert solve_left_integral(deformed, w).dimension == 1
+    assert solve_right_integral(deformed, w).dimension == 1
+
+
+def test_deformed_kz_second_indices_need_a_closed_form():
+    # rho_p(q) = (-1)^p q is admissible with identity blocks, but its second
+    # indices have no closed form, and no window scan may stand in for one
+    h = make_kg(integers_group())
+    w = Window.integer_range(h.group, -3, 3)
+    sign = Action(
+        base=h,
+        rho=GroupSelfAction("sign", lambda p, q: q if p % 2 == 0 else -q),
+        pi_fn=lambda p, q: Matrix.identity(1),
+        label="sign",
+    )
+    assert check_admissible(sign, w).passed
+    with pytest.raises(ValueError, match="no closed form"):
+        solve_left_integral(deform(h, sign, w), w)
 
 
 def test_twisted_right_integral_is_right_invariant(kg_s3):

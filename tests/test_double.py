@@ -25,6 +25,8 @@ from cogradedhopf.groups import Window, cyclic_group, s3_group
 from oracles import untwisted_double_product
 
 from cogradedhopf.hopf import (
+    check_coassociativity,
+    check_counit,
     full_suite,
     make_constant_family,
     make_kg,
@@ -218,6 +220,29 @@ def test_adjoint_double_s3_is_graded(pair_s3):
         assert d.mha.algebra.dim(p) == 6
     rep = full_suite(d.mha, Window.full(g))
     assert rep.passed, rep.text()
+
+
+@pytest.mark.parametrize("make_action", [trivial_action, adjoint_shuffle_action])
+def test_position_is_the_view_coordinate_map(pair_s3, make_action):
+    # trivial: not a crossing, one view component; adjoint: graded over S3
+    d = build_double(pair_s3, make_action(pair_s3.b_side))
+    view = d.mha.algebra
+    slots = {(P, k) for P in view.group.elements for k in range(view.dim(P))}
+    assert len(d.position) == len(slots) == len(d.a_basis) * len(d.b_basis)
+    assert set(d.position.values()) == slots
+    for key, (P, k) in d.position.items():
+        assert d.view_coords(d.basis_tensor(*key)) == view.basis_element(P, k)
+    coproduct = d.dbar(*d.comp_basis[view.group.identity][0])
+    assert coproduct.left is view and coproduct.right is view
+
+
+def test_noncrossing_view_coassociativity_and_counit(pair_s3):
+    # over the trivial group every leg of the coproduct lands in one block
+    d = build_double(pair_s3, trivial_action(pair_s3.b_side))
+    assert not d.crossing
+    w = Window.full(d.mha.group)
+    for rep in (check_coassociativity(d.mha, w), check_counit(d.mha, w)):
+        assert rep.entries and rep.passed, rep.text()
 
 
 def test_double_crossing_s3(pair_s3):

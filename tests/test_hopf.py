@@ -82,6 +82,24 @@ def test_kg_s3_t1_t2_all_blocks_bijective(kg_s3):
     assert sum(1 for e in rep.entries if e.name.startswith("T2-block")) == 36
 
 
+def test_t1_t2_runs_once_per_window_and_hands_out_copies(monkeypatch):
+    import cogradedhopf.hopf as hopf
+
+    h = make_kg(s3_group())
+    calls = []
+    original = hopf._t1_t2_report
+    monkeypatch.setattr(hopf, "_t1_t2_report", lambda *a: calls.append(a) or original(*a))
+    first = check_t1_t2(h, wfull(h))
+    names = [e.name for e in first.entries]
+    first.add("extra", "added by the caller", False)
+    second = check_t1_t2(h, Window.of(h.group, h.group.elements, label="relabeled"))
+    assert len(calls) == 1
+    assert [e.name for e in second.entries] == names and second.passed
+    assert second.window == "relabeled"
+    check_t1_t2(h, Window.of(h.group, ["(12)"]))
+    assert len(calls) == 2
+
+
 def test_kg_s3_full_suite(kg_s3):
     rep = full_suite(kg_s3, wfull(kg_s3))
     assert rep.passed, rep.text()
