@@ -17,6 +17,8 @@ a component is touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, product
 from typing import Callable, Dict, Optional
 
 from .exact import (
@@ -30,7 +32,7 @@ from .exact import (
     rank_of_sparse_columns,
     vector,
 )
-from .groups import GroupOracle, Window
+from .groups import GroupOracle, Window, basis_label
 
 
 def _bilinear(out: dict, table: dict, xs, ys) -> dict:
@@ -193,6 +195,7 @@ class GradedAlgebra:
     label: str = ""
     _components: dict = field(default_factory=dict, repr=False)
     _block_sparse: dict = field(default_factory=dict, repr=False)
+    _basis: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in (COGRADED, GRADED):
@@ -256,15 +259,23 @@ class GradedAlgebra:
         d = self.dim(p)
         if not (0 <= i < d):
             raise ValueError("basis index %d out of range for dim %d" % (i, d))
-        return GradedElement(self, {p: {i: ONE}})
+        return self._basis_of(p)[i][2]
+
+    def _basis_of(self, p) -> list:
+        """The (p, i, element) triples of component p, each element built once."""
+        if p not in self._basis:
+            self._basis[p] = [(p, i, GradedElement(self, {p: {i: ONE}})) for i in range(self.dim(p))]
+        return self._basis[p]
 
     def basis_on(self, window) -> list:
         """All (p, i, element) triples over the window, in window order."""
-        out = []
-        for p in window.elements:
-            for i in range(self.dim(p)):
-                out.append((p, i, self.basis_element(p, i)))
-        return out
+        return [t for p in window.elements for t in self._basis_of(p)]
+
+    def basis_pairs(self, window):
+        """All pairs ((r, i, x), (q, j, y)) of window basis triples: component
+        pairs in ``window.pairs()`` order, then i, then j."""
+        for r, q in window.pairs():
+            yield from product(self._basis_of(r), self._basis_of(q))
 
     def multiply(self, x: "GradedElement", y: "GradedElement") -> "GradedElement":
         if x.algebra is not self or y.algebra is not self:
@@ -696,25 +707,17 @@ def check_graded_algebra(algebra: GradedAlgebra, window: Window) -> "Certificate
 
     if algebra.mode == GRADED:
         # cross-block associativity and windowed non-degeneracy
+        basis = algebra._basis_of
+
+        @cache
+        def prod(xkey, ykey):  # each basis product once, when the walk first needs it
+            return algebra.basis_element(*xkey) * algebra.basis_element(*ykey)
+
         witness = None
-        for p, q, r in window.triples():
-            for i in range(algebra.dim(p)):
-                x = algebra.basis_element(p, i)
-                for j in range(algebra.dim(q)):
-                    y = algebra.basis_element(q, j)
-                    xy = x * y
-                    for k in range(algebra.dim(r)):
-                        z = algebra.basis_element(r, k)
-                        if (xy) * z != x * (y * z):
-                            witness = "((%s,%d)(%s,%d))(%s,%d)" % (
-                                g.encode(p), i, g.encode(q), j, g.encode(r), k,
-                            )
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
+        for x, y, z in chain.from_iterable(
+                product(basis(p), basis(q), basis(r)) for p, q, r in window.triples()):
+            if prod(x[:2], y[:2]) * z[2] != x[2] * prod(y[:2], z[:2]):
+                witness = "(%s%s)%s" % (basis_label(g, x), basis_label(g, y), basis_label(g, z))
                 break
         rep.add("cross-block-associativity", "associative block products", witness is None, witness)
 
@@ -744,13 +747,9 @@ def check_graded_algebra(algebra: GradedAlgebra, window: Window) -> "Certificate
         unit = algebra.unit_element()
         if unit is not None:
             witness = None
-            for p in window.elements:
-                for i in range(algebra.dim(p)):
-                    x = algebra.basis_element(p, i)
-                    if unit * x != x or x * unit != x:
-                        witness = "unit fails on (%s, %d)" % (g.encode(p), i)
-                        break
-                if witness:
+            for p, i, x in algebra.basis_on(window):
+                if unit * x != x or x * unit != x:
+                    witness = "unit fails on (%s, %d)" % (g.encode(p), i)
                     break
             rep.add("global-unit", "two-sided unit element", witness is None, witness)
     else:

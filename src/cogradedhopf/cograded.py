@@ -16,11 +16,12 @@ confirm that deforming twice restores the original blocks bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional
 
 from .algebras import COGRADED, GradedAlgebra, GradedElement, TensorElement
 from .exact import Matrix, ONE, ZERO, accumulate, is_bijective, vector
-from .groups import GroupSelfAction, Window, adjoint_self_action, trivial_self_action
+from .groups import GroupSelfAction, Window, adjoint_self_action, basis_label, trivial_self_action
 from .hopf import (
     BlockComultiplication,
     ComponentMap,
@@ -181,60 +182,40 @@ def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate
     rep.add("action-identity", "pi_e = id", witness is None, witness)
 
     witness = None
-    for p, q in window.pairs():
-        for r in window.elements:
-            lhs_target = action.rho.apply(g.multiply(p, q), r)
-            rhs_target = action.rho.apply(p, action.rho.apply(q, r))
-            if lhs_target != rhs_target:
-                witness = "rho law fails at (%s,%s,%s)" % (
-                    g.encode(p), g.encode(q), g.encode(r))
-                break
-            lhs = action.block(g.multiply(p, q), r)
-            rhs = action.block(p, action.rho.apply(q, r)).matmul(action.block(q, r))
-            if lhs != rhs:
-                witness = "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (
-                    g.encode(p), g.encode(q), g.encode(r))
-                break
-        if witness:
+    for p, q, r in window.triples():
+        lhs_target = action.rho.apply(g.multiply(p, q), r)
+        rhs_target = action.rho.apply(p, action.rho.apply(q, r))
+        if lhs_target != rhs_target:
+            witness = "rho law fails at (%s,%s,%s)" % (
+                g.encode(p), g.encode(q), g.encode(r))
+            break
+        lhs = action.block(g.multiply(p, q), r)
+        rhs = action.block(p, action.rho.apply(q, r)).matmul(action.block(q, r))
+        if lhs != rhs:
+            witness = "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (
+                g.encode(p), g.encode(q), g.encode(r))
             break
     rep.add("action-group-law", "pi is a group homomorphism", witness is None, witness)
 
     witness = None
-    basis = {q: [alg.basis_element(q, i) for i in range(alg.dim(q))]
-             for q in window.elements}
+    basis = alg.basis_on(window)
     for p in window.elements:
         pmap = action.component_map(p)
-        images = {q: [pmap.apply(x) for x in basis[q]] for q in window.elements}
-        for q, r in window.pairs():
-            for i, x in enumerate(basis[q]):
-                px = images[q][i]
-                for j, y in enumerate(basis[r]):
-                    if pmap.apply(x * y) != px * images[r][j]:
-                        witness = "pi_%s not multiplicative at (%s,%d),(%s,%d)" % (
-                            g.encode(p), g.encode(q), i, g.encode(r), j)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
+        images = {(q, i): pmap.apply(x) for q, i, x in basis}
+        bad = next((basis_label(g, (q, i), (r, j)) for (q, i, x), (r, j, y) in alg.basis_pairs(window)
+                    if pmap.apply(x * y) != images[q, i] * images[r, j]), None)
+        if bad is not None:
+            witness = "pi_%s not multiplicative at %s" % (g.encode(p), bad)
             break
     rep.add("action-algebra-morphism", "each pi_p is multiplicative", witness is None, witness)
 
     if b.star is not None:
         witness = None
-        for p in window.elements:
+        for p, (q, i, x) in product(window.elements, basis):
             pmap = action.component_map(p)
-            for q in window.elements:
-                for i in range(alg.dim(q)):
-                    x = alg.basis_element(q, i)
-                    if pmap.apply(b.apply_star(x)) != b.apply_star(pmap.apply(x)):
-                        witness = "pi_%s does not commute with star at (%s,%d)" % (
-                            g.encode(p), g.encode(q), i)
-                        break
-                if witness:
-                    break
-            if witness:
+            if pmap.apply(b.apply_star(x)) != b.apply_star(pmap.apply(x)):
+                witness = "pi_%s does not commute with star at %s" % (
+                    g.encode(p), basis_label(g, (q, i)))
                 break
         rep.add("action-star-morphism", "each pi_p is a star map", witness is None, witness)
 
@@ -481,21 +462,11 @@ def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) 
         return rep
 
     witness = None
-    for p in window.elements:
-        unit_p = alg.element({p: alg.component(p).unit})
-        for q in window.elements:
-            for i in range(alg.dim(q)):
-                x = alg.basis_element(q, i)
-                left = unit_p * x
-                right = x * unit_p
-                expected = x if q == p else alg.zero()
-                if left != expected or right != expected:
-                    witness = "unit of %s is not central against (%s,%d)" % (
-                        g.encode(p), g.encode(q), i)
-                    break
-            if witness:
-                break
-        if witness:
+    units = {p: alg.element({p: alg.component(p).unit}) for p in window.elements}
+    for p, (q, i, x) in product(window.elements, alg.basis_on(window)):
+        expected = x if q == p else alg.zero()
+        if units[p] * x != expected or x * units[p] != expected:
+            witness = "unit of %s is not central against %s" % (g.encode(p), basis_label(g, (q, i)))
             break
     rep.add("unit-centrality", "each component unit is a central idempotent",
             witness is None, witness)
@@ -506,9 +477,7 @@ def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) 
         if b.delta.block_cols(p, q) is None:
             witness = "missing block (%s,%s)" % (g.encode(p), g.encode(q))
             break
-        expected = TensorElement.of_pair(
-            alg.element({p: alg.component(p).unit}), alg.element({q: alg.component(q).unit})
-        )
+        expected = TensorElement.of_pair(units[p], units[q])
         got = TensorElement(alg, alg)
         unit_src = alg.element({src: alg.component(src).unit})
         b.accumulate_block(got, p, q, unit_src.comps.get(src, {}))
@@ -524,8 +493,7 @@ def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) 
 
     witness = None
     for p in window.elements:
-        unit_p = alg.element({p: alg.component(p).unit})
-        s_img = b.antipode.apply(unit_p)
+        s_img = b.antipode.apply(units[p])
         pinv = g.invert(p)
         if s_img != alg.element({pinv: alg.component(pinv).unit}):
             witness = "S(1_%s) != 1_%s" % (g.encode(p), g.encode(pinv))

@@ -19,7 +19,8 @@ is what the finite-type double construction over a constant family needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
+from itertools import chain, product
 from typing import Callable, Dict, Optional
 
 from .algebras import COGRADED, GRADED, ComponentAlgebra, GradedAlgebra, GradedElement, TensorElement
@@ -36,7 +37,7 @@ from .exact import (
     rows_of_columns,
     solve_linear,
 )
-from .groups import Window
+from .groups import Window, basis_label
 from .hopf import (
     CogradedBlockDelta,
     ComponentMap,
@@ -176,16 +177,15 @@ def act_b_on_b(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedEl
 
 @dataclass(frozen=True)
 class ModuleActionTables:
-    """Dense matrices of the four module actions on window basis vectors."""
+    """Dense matrices of the actions b |> a and a |> b on window basis vectors."""
 
     b_on_a: dict  # (p, j) -> Matrix on A_p, the action of b_j at p
-    a_on_a: dict  # (p, j) -> Matrix on A_p, the right action of b_j at p
     a_on_b: dict  # (s, i, r) -> Matrix B_r -> B_{r s^-1}
-    b_on_b: dict  # (s, i, r) -> Matrix B_r -> B_{s^-1 r}
 
 
 def build_module_actions(pairing: Pairing, window: Window):
-    """Tabulate the four actions on the window and verify the module laws.
+    """Tabulate b |> a and a |> b on the window and verify the module laws of
+    all four actions.
 
     Returns (tables, report).
     """
@@ -195,103 +195,69 @@ def build_module_actions(pairing: Pairing, window: Window):
         title="module actions (%s)" % pairing.label, window=window.label,
         subject_digest=pairing.label,
     )
-    b_on_a = {}
-    a_on_a = {}
+    a_basis = aside.algebra.basis_on(window)
+    b_basis = bside.algebra.basis_on(window)
+    b_on_a = {
+        (p, j): Matrix.from_columns([act_b_on_a(pairing, bj, ai).coeff(p) for s, _, ai in a_basis if s == p])
+        for p, j, bj in b_basis
+    }
     a_on_b = {}
-    b_on_b = {}
-    for p in window.elements:
-        da = aside.algebra.dim(p)
-        for j in range(bside.algebra.dim(p)):
-            bj = bside.algebra.basis_element(p, j)
-            cols_fwd = []
-            cols_bwd = []
-            for i in range(da):
-                ai = aside.algebra.basis_element(p, i)
-                cols_fwd.append(act_b_on_a(pairing, bj, ai).coeff(p))
-                cols_bwd.append(act_a_on_a(pairing, ai, bj).coeff(p))
-            b_on_a[(p, j)] = Matrix.from_columns(cols_fwd)
-            a_on_a[(p, j)] = Matrix.from_columns(cols_bwd)
-    for s in window.elements:
-        for i in range(aside.algebra.dim(s)):
-            ai = aside.algebra.basis_element(s, i)
-            for r in window.elements:
-                target_fwd = g.multiply(r, g.invert(s))
-                target_bwd = g.multiply(g.invert(s), r)
-                cols_fwd = []
-                cols_bwd = []
-                for j in range(bside.algebra.dim(r)):
-                    bj = bside.algebra.basis_element(r, j)
-                    cols_fwd.append(act_a_on_b(pairing, ai, bj).coeff(target_fwd))
-                    cols_bwd.append(act_b_on_b(pairing, bj, ai).coeff(target_bwd))
-                a_on_b[(s, i, r)] = Matrix.from_columns(cols_fwd)
-                b_on_b[(s, i, r)] = Matrix.from_columns(cols_bwd)
+    for s, i, ai in a_basis:
+        for r in window.elements:
+            target = g.multiply(r, g.invert(s))
+            a_on_b[(s, i, r)] = Matrix.from_columns(
+                [act_a_on_b(pairing, ai, bj).coeff(target) for q, _, bj in b_basis if q == r])
 
     # module laws on window basis triples
     wit = {"assoc-ab": None, "assoc-ba": None, "alg-ba": None, "alg-ab": None}
-    for s, t in window.pairs():
-        for i in range(aside.algebra.dim(s)):
-            x = aside.algebra.basis_element(s, i)
-            for k in range(aside.algebra.dim(t)):
-                y = aside.algebra.basis_element(t, k)
-                xy = x * y
-                for r in window.elements:
-                    for j in range(bside.algebra.dim(r)):
-                        bj = bside.algebra.basis_element(r, j)
-                        if wit["assoc-ab"] is None:
-                            lhs = act_a_on_b(pairing, xy, bj)
-                            rhs = act_a_on_b(pairing, x, act_a_on_b(pairing, y, bj))
-                            if lhs != rhs:
-                                wit["assoc-ab"] = "(%s,%d),(%s,%d),(%s,%d)" % (
-                                    g.encode(s), i, g.encode(t), k, g.encode(r), j)
-                        if wit["assoc-ba"] is None:
-                            lhs = act_b_on_b(pairing, bj, xy)
-                            rhs = act_b_on_b(pairing, act_b_on_b(pairing, bj, x), y)
-                            if lhs != rhs:
-                                wit["assoc-ba"] = "(%s,%d),(%s,%d),(%s,%d)" % (
-                                    g.encode(s), i, g.encode(t), k, g.encode(r), j)
-                        if wit["alg-ba"] is None:
-                            # b |> (xy) = sum (b_(1) |> x)(b_(2) |> y): one slice
-                            lhs = act_b_on_a(pairing, bj, xy)
-                            slice_cols = bside.delta.block_cols(s, t)
-                            total = aside.algebra.zero()
-                            if slice_cols is not None and bside.delta.source(s, t) == r:
-                                for idx, c in slice_cols[j].items():
-                                    j1, j2 = divmod(idx, bside.algebra.dim(t))
-                                    u = act_b_on_a(
-                                        pairing, bside.algebra.basis_element(s, j1), x
-                                    )
-                                    v = act_b_on_a(
-                                        pairing, bside.algebra.basis_element(t, j2), y
-                                    )
-                                    total = total + (u * v).scale(c)
-                            if lhs != total:
-                                wit["alg-ba"] = "(%s,%d),(%s,%d),(%s,%d)" % (
-                                    g.encode(s), i, g.encode(t), k, g.encode(r), j)
-    for r, r2 in window.pairs():
-        for j in range(bside.algebra.dim(r)):
-            bj = bside.algebra.basis_element(r, j)
-            for l in range(bside.algebra.dim(r2)):
-                bl = bside.algebra.basis_element(r2, l)
-                bb = bj * bl
-                for s in window.elements:
-                    for i in range(aside.algebra.dim(s)):
-                        x = aside.algebra.basis_element(s, i)
-                        if wit["alg-ab"] is None:
-                            lhs = act_a_on_b(pairing, x, bb)
-                            cols = aside.delta.block_cols(s, s)
-                            total = bside.algebra.zero()
-                            for idx, c in cols[i].items():
-                                i1, i2 = divmod(idx, aside.algebra.dim(s))
-                                u = act_a_on_b(
-                                    pairing, aside.algebra.basis_element(s, i1), bj
-                                )
-                                v = act_a_on_b(
-                                    pairing, aside.algebra.basis_element(s, i2), bl
-                                )
-                                total = total + (u * v).scale(c)
-                            if lhs != total:
-                                wit["alg-ab"] = "(%s,%d),(%s,%d),(%s,%d)" % (
-                                    g.encode(r), j, g.encode(r2), l, g.encode(s), i)
+    for (s, i, x), (t, k, y) in aside.algebra.basis_pairs(window):
+        xy = x * y
+        for r, j, bj in b_basis:
+            if wit["assoc-ab"] is None:
+                lhs = act_a_on_b(pairing, xy, bj)
+                rhs = act_a_on_b(pairing, x, act_a_on_b(pairing, y, bj))
+                if lhs != rhs:
+                    wit["assoc-ab"] = basis_label(g, (s, i), (t, k), (r, j))
+            if wit["assoc-ba"] is None:
+                lhs = act_b_on_b(pairing, bj, xy)
+                rhs = act_b_on_b(pairing, act_b_on_b(pairing, bj, x), y)
+                if lhs != rhs:
+                    wit["assoc-ba"] = basis_label(g, (s, i), (t, k), (r, j))
+            if wit["alg-ba"] is None:
+                # b |> (xy) = sum (b_(1) |> x)(b_(2) |> y): one slice
+                lhs = act_b_on_a(pairing, bj, xy)
+                slice_cols = bside.delta.block_cols(s, t)
+                total = aside.algebra.zero()
+                if slice_cols is not None and bside.delta.source(s, t) == r:
+                    for idx, c in slice_cols[j].items():
+                        j1, j2 = divmod(idx, bside.algebra.dim(t))
+                        u = act_b_on_a(
+                            pairing, bside.algebra.basis_element(s, j1), x
+                        )
+                        v = act_b_on_a(
+                            pairing, bside.algebra.basis_element(t, j2), y
+                        )
+                        total = total + (u * v).scale(c)
+                if lhs != total:
+                    wit["alg-ba"] = basis_label(g, (s, i), (t, k), (r, j))
+    for (r, j, bj), (r2, l, bl) in bside.algebra.basis_pairs(window):
+        bb = bj * bl
+        for s, i, x in a_basis:
+            if wit["alg-ab"] is None:
+                lhs = act_a_on_b(pairing, x, bb)
+                cols = aside.delta.block_cols(s, s)
+                total = bside.algebra.zero()
+                for idx, c in cols[i].items():
+                    i1, i2 = divmod(idx, aside.algebra.dim(s))
+                    u = act_a_on_b(
+                        pairing, aside.algebra.basis_element(s, i1), bj
+                    )
+                    v = act_a_on_b(
+                        pairing, aside.algebra.basis_element(s, i2), bl
+                    )
+                    total = total + (u * v).scale(c)
+                if lhs != total:
+                    wit["alg-ab"] = basis_label(g, (r, j), (r2, l), (s, i))
     rep.add("module-law-a-on-b", "(aa') |> b = a |> (a' |> b)", wit["assoc-ab"] is None, wit["assoc-ab"])
     rep.add("module-law-b-on-b", "b <| (aa') = (b <| a) <| a'", wit["assoc-ba"] is None, wit["assoc-ba"])
     rep.add("module-algebra-b-on-a", "b |> (xy) expands along the coproduct of b", wit["alg-ba"] is None, wit["alg-ba"])
@@ -302,12 +268,11 @@ def build_module_actions(pairing: Pairing, window: Window):
     for r in window.elements:
         dr = bside.algebra.dim(r)
         cols = []
-        for s in window.elements:
-            for i in range(aside.algebra.dim(s)):
-                # a_i^(s) |> B_{rs} lands in B_r
-                m = a_on_b.get((s, i, g.multiply(r, s)))
-                if m is not None:
-                    cols.extend(m.sparse_columns())
+        for s, i, _ in a_basis:
+            # a_i^(s) |> B_{rs} lands in B_r
+            m = a_on_b.get((s, i, g.multiply(r, s)))
+            if m is not None:
+                cols.extend(m.sparse_columns())
         if rank_of_sparse_columns(cols, dr) != dr:
             witness = "component %s is not reached by the forward action" % g.encode(r)
             break
@@ -326,7 +291,7 @@ def build_module_actions(pairing: Pairing, window: Window):
     rep.add("module-unital-a", "every A basis vector is in the span of b |> a",
             witness is None, witness)
 
-    return ModuleActionTables(b_on_a, a_on_a, a_on_b, b_on_b), rep
+    return ModuleActionTables(b_on_a, a_on_b), rep
 
 
 # ---------------------------------------------------------------------------
@@ -349,137 +314,105 @@ def check_pairing(pairing: Pairing, window: Window) -> CertificateReport:
             break
     rep.add("form-nondegenerate", "each component form is invertible", witness is None, witness)
 
+    a_basis = aside.algebra.basis_on(window)
+    b_basis = bside.algebra.basis_on(window)
+
+    @cache
+    def coproduct(s, i):  # the diagonal block of Delta(a), once per basis vector
+        return aside.delta_part_by_second(aside.algebra.basis_element(s, i), None).blocks.get((s, s), {})
+
     wit_b = None  # <a, bb'> = <Delta(a), b (x) b'>
     wit_b_act = None
-    for s in window.elements:
-        for i in range(aside.algebra.dim(s)):
-            a = aside.algebra.basis_element(s, i)
-            for u, v in window.pairs():
-                for j in range(bside.algebra.dim(u)):
-                    b1 = bside.algebra.basis_element(u, j)
-                    for k in range(bside.algebra.dim(v)):
-                        b2 = bside.algebra.basis_element(v, k)
-                        lhs = pairing.pair(a, b1 * b2)
-                        t = aside.delta_part_by_second(a, None)
-                        rhs = ZERO
-                        block = t.blocks.get((s, s), {})
-                        if u == s and v == s:
-                            fu = pairing.form(s)
-                            for (i1, i2), c in block.items():
-                                rhs = rhs + c * fu.entries[i1][j] * fu.entries[i2][k]
-                        if lhs != rhs and wit_b is None:
-                            wit_b = "a=(%s,%d) b=(%s,%d) b'=(%s,%d)" % (
-                                g.encode(s), i, g.encode(u), j, g.encode(v), k)
-                        if wit_b_act is None:
-                            alt1 = pairing.pair(act_b_on_a(pairing, b2, a), b1)
-                            alt2 = pairing.pair(act_a_on_a(pairing, a, b1), b2)
-                            if lhs != alt1 or lhs != alt2:
-                                wit_b_act = "a=(%s,%d) b=(%s,%d) b'=(%s,%d)" % (
-                                    g.encode(s), i, g.encode(u), j, g.encode(v), k)
+    for (s, i, a), ((u, j, b1), (v, k, b2)) in product(a_basis, bside.algebra.basis_pairs(window)):
+        lhs = pairing.pair(a, b1 * b2)
+        block = coproduct(s, i)
+        rhs = ZERO
+        if u == s and v == s:
+            fu = pairing.form(s)
+            for (i1, i2), c in block.items():
+                rhs = rhs + c * fu.entries[i1][j] * fu.entries[i2][k]
+        if lhs != rhs and wit_b is None:
+            wit_b = "a=%s b=%s b'=%s" % (
+                basis_label(g, (s, i)), basis_label(g, (u, j)), basis_label(g, (v, k)))
+        if wit_b_act is None:
+            alt1 = pairing.pair(act_b_on_a(pairing, b2, a), b1)
+            alt2 = pairing.pair(act_a_on_a(pairing, a, b1), b2)
+            if lhs != alt1 or lhs != alt2:
+                wit_b_act = "a=%s b=%s b'=%s" % (
+                    basis_label(g, (s, i)), basis_label(g, (u, j)), basis_label(g, (v, k)))
     rep.add("duality-b-product", "<a, bb'> = <Delta(a), b (x) b'>", wit_b is None, wit_b)
     rep.add("duality-b-actions", "<a, bb'> = <b' |> a, b> = <a <| b, b'>",
             wit_b_act is None, wit_b_act)
 
     wit_a = None
     wit_a_act = None
-    for s, t in window.pairs():
-        for i in range(aside.algebra.dim(s)):
-            a1 = aside.algebra.basis_element(s, i)
-            for k in range(aside.algebra.dim(t)):
-                a2 = aside.algebra.basis_element(t, k)
-                prod = a1 * a2
-                for r in window.elements:
-                    for j in range(bside.algebra.dim(r)):
-                        b = bside.algebra.basis_element(r, j)
-                        lhs = pairing.pair(prod, b)
-                        cols = (
-                            bside.delta.block_cols(s, t)
-                            if bside.delta.source(s, t) == r
-                            else None
-                        )
-                        rhs = ZERO
-                        if cols is not None:
-                            fs, ft = pairing.form(s), pairing.form(t)
-                            dt = bside.algebra.dim(t)
-                            for idx, c in cols[j].items():
-                                j1, j2 = divmod(idx, dt)
-                                rhs = rhs + c * fs.entries[i][j1] * ft.entries[k][j2]
-                        if lhs != rhs and wit_a is None:
-                            wit_a = "a=(%s,%d) a'=(%s,%d) b=(%s,%d)" % (
-                                g.encode(s), i, g.encode(t), k, g.encode(r), j)
-                        if wit_a_act is None:
-                            alt1 = pairing.pair(a1, act_a_on_b(pairing, a2, b))
-                            alt2 = pairing.pair(a2, act_b_on_b(pairing, b, a1))
-                            if lhs != alt1 or lhs != alt2:
-                                wit_a_act = "a=(%s,%d) a'=(%s,%d) b=(%s,%d)" % (
-                                    g.encode(s), i, g.encode(t), k, g.encode(r), j)
+    for (s, i, a1), (t, k, a2) in aside.algebra.basis_pairs(window):
+        prod = a1 * a2
+        for r, j, b in b_basis:
+            lhs = pairing.pair(prod, b)
+            cols = (
+                bside.delta.block_cols(s, t)
+                if bside.delta.source(s, t) == r
+                else None
+            )
+            rhs = ZERO
+            if cols is not None:
+                fs, ft = pairing.form(s), pairing.form(t)
+                dt = bside.algebra.dim(t)
+                for idx, c in cols[j].items():
+                    j1, j2 = divmod(idx, dt)
+                    rhs = rhs + c * fs.entries[i][j1] * ft.entries[k][j2]
+            if lhs != rhs and wit_a is None:
+                wit_a = "a=%s a'=%s b=%s" % (
+                    basis_label(g, (s, i)), basis_label(g, (t, k)), basis_label(g, (r, j)))
+            if wit_a_act is None:
+                alt1 = pairing.pair(a1, act_a_on_b(pairing, a2, b))
+                alt2 = pairing.pair(a2, act_b_on_b(pairing, b, a1))
+                if lhs != alt1 or lhs != alt2:
+                    wit_a_act = "a=%s a'=%s b=%s" % (
+                        basis_label(g, (s, i)), basis_label(g, (t, k)), basis_label(g, (r, j)))
     rep.add("duality-a-product", "<aa', b> = <a (x) a', Delta(b)>", wit_a is None, wit_a)
     rep.add("duality-a-actions", "<aa', b> = <a, a' |> b> = <a', b <| a>",
             wit_a_act is None, wit_a_act)
 
+    # A_s pairs with B_s, so S(a) pairs with the inverse component, which an
+    # integer window need not contain
+    antipode_a = cache(lambda s, i: aside.antipode.apply(aside.algebra.basis_element(s, i)))
     witness = None
-    for s in window.elements:
-        for i in range(aside.algebra.dim(s)):
-            a = aside.algebra.basis_element(s, i)
-            sa = aside.antipode.apply(a)
-            for j in range(bside.algebra.dim(g.invert(s))):
-                b = bside.algebra.basis_element(g.invert(s), j)
-                if pairing.pair(sa, b) != pairing.pair(a, bside.antipode.apply(b)):
-                    witness = "a=(%s,%d) b=(%s,%d)" % (
-                        g.encode(s), i, g.encode(g.invert(s)), j)
-                    break
-            if witness:
-                break
-        if witness:
+    for (s, i, a), (r, j, b) in (
+            (x, y) for x in a_basis for y in bside.algebra._basis_of(g.invert(x[0]))):
+        if pairing.pair(antipode_a(s, i), b) != pairing.pair(a, bside.antipode.apply(b)):
+            witness = "a=%s b=%s" % (basis_label(g, (s, i)), basis_label(g, (r, j)))
             break
     rep.add("antipode-compatibility", "<S(a), b> = <a, S(b)>", witness is None, witness)
 
     if aside.star is not None and bside.star is not None:
+        star_a = cache(lambda s, i: aside.apply_star(aside.algebra.basis_element(s, i)))
         witness = None
-        for s in window.elements:
-            for i in range(aside.algebra.dim(s)):
-                a = aside.algebra.basis_element(s, i)
-                astar = aside.apply_star(a)
-                for r in window.elements:
-                    for j in range(bside.algebra.dim(r)):
-                        b = bside.algebra.basis_element(r, j)
-                        rhs = pairing.pair(
-                            a, bside.apply_star(bside.antipode.apply(b))
-                        ).conj()
-                        if pairing.pair(astar, b) != rhs:
-                            witness = "a=(%s,%d) b=(%s,%d)" % (
-                                g.encode(s), i, g.encode(r), j)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
+        for (s, i, a), (r, j, b) in product(a_basis, b_basis):
+            astar = star_a(s, i)
+            rhs = pairing.pair(
+                a, bside.apply_star(bside.antipode.apply(b))
+            ).conj()
+            if pairing.pair(astar, b) != rhs:
+                witness = "a=%s b=%s" % (basis_label(g, (s, i)), basis_label(g, (r, j)))
                 break
         rep.add("star-pairing", "<a*, b> = conj(<a, S(b)*>)", witness is None, witness)
 
+    unit_b = cache(lambda s: bside.algebra.element({s: bside.algebra.component(s).unit}))
     witness = None
-    for s in window.elements:
-        unit_b = bside.algebra.element({s: bside.algebra.component(s).unit})
-        for i in range(aside.algebra.dim(s)):
-            a = aside.algebra.basis_element(s, i)
-            if pairing.pair(a, unit_b) != aside.counit_value(a):
-                witness = "a=(%s,%d)" % (g.encode(s), i)
-                break
-        if witness:
+    for s, i, a in a_basis:
+        if pairing.pair(a, unit_b(s)) != aside.counit_value(a):
+            witness = "a=%s" % basis_label(g, (s, i))
             break
     rep.add("counit-compatibility-a", "<a, 1_p> = eps(a) on A_p", witness is None, witness)
 
     unit_a = aside.unit_element()
     if unit_a is not None:
         witness = None
-        for r in window.elements:
-            for j in range(bside.algebra.dim(r)):
-                b = bside.algebra.basis_element(r, j)
-                if pairing.pair(unit_a, b) != bside.counit_value(b):
-                    witness = "b=(%s,%d)" % (g.encode(r), j)
-                    break
-            if witness:
+        for r, j, b in b_basis:
+            if pairing.pair(unit_a, b) != bside.counit_value(b):
+                witness = "b=%s" % basis_label(g, (r, j))
                 break
         rep.add("counit-compatibility-b", "<1, b> = eps(b)", witness is None, witness)
     return rep
@@ -499,45 +432,32 @@ def induced_grading_check(pairing: Pairing, window: Window) -> CertificateReport
         title="induced grading (%s)" % pairing.label, window=window.label,
         subject_digest=pairing.label,
     )
+    a_basis = aside.algebra.basis_on(window)
+    b_basis = bside.algebra.basis_on(window)
     witness = None
     projections: Dict = {}
-    for s in window.elements:
-        ds = aside.algebra.dim(s)
-        db = bside.algebra.dim(s)
-        for i in range(ds):
-            a = aside.algebra.basis_element(s, i)
-            cols = [act_b_on_a(pairing, bside.algebra.basis_element(s, j), a).comps.get(s, {})
-                    for j in range(db)]
-            sol = solve_linear(rows_of_columns(cols, ds), a.coeff(s), db)
-            if sol is None:
-                witness = "no local unit for (%s,%d)" % (g.encode(s), i)
-                break
-            e = bside.algebra.element({s: sol.particular})
-            for p in window.elements:
-                cut = e.restrict([p])
-                image = act_b_on_a(pairing, cut, a) if not cut.is_zero() else aside.algebra.zero()
-                projections.setdefault(p, []).append((s, i, image))
-        if witness:
+    for s, i, a in a_basis:
+        cols = [act_b_on_a(pairing, b, a).comps.get(s, {}) for r, _, b in b_basis if r == s]
+        sol = solve_linear(rows_of_columns(cols, aside.algebra.dim(s)), a.coeff(s), len(cols))
+        if sol is None:
+            witness = "no local unit for %s" % basis_label(g, (s, i))
             break
+        e = bside.algebra.element({s: sol.particular})
+        for p in window.elements:
+            cut = e.restrict([p])
+            image = act_b_on_a(pairing, cut, a) if not cut.is_zero() else aside.algebra.zero()
+            projections.setdefault(p, []).append((s, i, image))
     rep.add("module-local-units", "every A basis vector has a local unit in B",
             witness is None, witness)
     if witness is None:
-        witness = None
         for p in window.elements:
             dp = aside.algebra.dim(p)
-            cols = []
-            for (s, i, image) in projections.get(p, []):
-                expected = (
-                    aside.algebra.basis_element(p, i) if s == p else aside.algebra.zero()
-                )
-                if image != expected:
-                    witness = "unit cut at %s acts wrongly on (%s,%d)" % (
-                        g.encode(p), g.encode(s), i)
-                    break
-                if s == p:
-                    cols.append(image.comps.get(p, {}))
-            if witness:
+            wrong = next(((s, i) for s, i, image in projections.get(p, []) if image != (
+                aside.algebra.basis_element(p, i) if s == p else aside.algebra.zero())), None)
+            if wrong is not None:
+                witness = "unit cut at %s acts wrongly on %s" % (g.encode(p), basis_label(g, wrong))
                 break
+            cols = [image.comps.get(p, {}) for s, _, image in projections.get(p, []) if s == p]
             if rank_of_sparse_columns(cols, dp) != dp:
                 witness = "projections do not span the %s component" % g.encode(p)
                 break
@@ -545,32 +465,19 @@ def induced_grading_check(pairing: Pairing, window: Window) -> CertificateReport
                 witness is None, witness)
 
     witness = None
-    for p, q in window.pairs():
+    for (p, i, x), (q, j, y) in aside.algebra.basis_pairs(window):
         target = g.multiply(p, q)
-        for i in range(aside.algebra.dim(p)):
-            x = aside.algebra.basis_element(p, i)
-            for j in range(aside.algebra.dim(q)):
-                y = aside.algebra.basis_element(q, j)
-                prod = x * y
-                if any(t != target for t in prod.support()):
-                    witness = "(%s,%d)(%s,%d) leaves the %s component" % (
-                        g.encode(p), i, g.encode(q), j, g.encode(target))
-                    break
-            if witness:
-                break
-        if witness:
+        if any(t != target for t in (x * y).support()):
+            witness = "%s%s leaves the %s component" % (
+                basis_label(g, (p, i)), basis_label(g, (q, j)), g.encode(target))
             break
     rep.add("graded-product", "the product multiplies the grading", witness is None, witness)
 
     witness = None
-    for p in window.elements:
-        for i in range(aside.algebra.dim(p)):
-            a = aside.algebra.basis_element(p, i)
-            t = aside.delta_part_by_second(a, None)
-            if any(key != (p, p) for key in t.blocks):
-                witness = "coproduct of (%s,%d) leaves the diagonal" % (g.encode(p), i)
-                break
-        if witness:
+    for p, i, a in a_basis:
+        t = aside.delta_part_by_second(a, None)
+        if any(key != (p, p) for key in t.blocks):
+            witness = "coproduct of %s leaves the diagonal" % basis_label(g, (p, i))
             break
     rep.add("graded-coproduct", "coproducts pair to zero off the diagonal",
             witness is None, witness)
@@ -588,19 +495,11 @@ def induced_grading_check(pairing: Pairing, window: Window) -> CertificateReport
             witness is None, witness)
 
     witness = None
-    for p, q in window.pairs():
-        if p == q:
-            continue
-        for j in range(bside.algebra.dim(p)):
-            b = bside.algebra.basis_element(p, j)
-            for i in range(aside.algebra.dim(q)):
-                a = aside.algebra.basis_element(q, i)
-                if not act_b_on_a(pairing, b, a).is_zero():
-                    witness = "b=(%s,%d) a=(%s,%d)" % (g.encode(p), j, g.encode(q), i)
-                    break
-            if witness:
-                break
-        if witness:
+    for (p, j, b), (q, i, a) in chain.from_iterable(
+            product(bside.algebra._basis_of(p), aside.algebra._basis_of(q))
+            for p, q in window.pairs() if p != q):
+        if not act_b_on_a(pairing, b, a).is_zero():
+            witness = "b=%s a=%s" % (basis_label(g, (p, j)), basis_label(g, (q, i)))
             break
     rep.add("mixed-grading-annihilation", "b |> a vanishes on mismatched components",
             witness is None, witness)
@@ -620,10 +519,9 @@ class TwistCalculus:
     hard error, since it would mean the slice indexing is wrong.
     """
 
-    def __init__(self, pairing: Pairing, action: Action, window: Window):
+    def __init__(self, pairing: Pairing, action: Action):
         self.pairing = pairing
         self.action = action
-        self.window = window
         self.aside = pairing.a_side
         self.bside = pairing.b_side
         if not pairing.group.is_finite:
@@ -814,21 +712,16 @@ def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
         window=window.label, subject_digest=pairing.label,
     )
 
-    def basis_tensors():
-        for s in window.elements:
-            for i in range(aside.algebra.dim(s)):
-                for r in window.elements:
-                    for j in range(bside.algebra.dim(r)):
-                        yield s, i, r, j
-
+    a_basis = aside.algebra.basis_on(window)
+    b_basis = bside.algebra.basis_on(window)
     wit_r1 = wit_r2 = wit_r = wit_closed = None
-    for s, i, r, j in basis_tensors():
+    for (s, i, _), (r, j, _) in product(a_basis, b_basis):
         t = TensorElement(aside.algebra, bside.algebra)
         t.add_term(s, r, i, j, ONE)
         if wit_r1 is None and twist.r1_inv(twist.r1(t)) != t:
-            wit_r1 = "(%s,%d)(x)(%s,%d)" % (g.encode(s), i, g.encode(r), j)
+            wit_r1 = "%s(x)%s" % (basis_label(g, (s, i)), basis_label(g, (r, j)))
         if wit_r2 is None and twist.r2_inv(twist.r2(t)) != t:
-            wit_r2 = "(%s,%d)(x)(%s,%d)" % (g.encode(s), i, g.encode(r), j)
+            wit_r2 = "%s(x)%s" % (basis_label(g, (s, i)), basis_label(g, (r, j)))
         try:
             img = twist.r_basis(r, j, s, i)
         except ValueError as exc:
@@ -839,7 +732,7 @@ def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
             expected = TensorElement(bside.algebra, aside.algebra)
             expected.add_term(r, s, j, i, ONE)
             if back != expected:
-                wit_r = "(%s,%d)(x)(%s,%d)" % (g.encode(r), j, g.encode(s), i)
+                wit_r = "%s(x)%s" % (basis_label(g, (r, j)), basis_label(g, (s, i)))
     rep.add("twist-r1-roundtrip", "R1 composed with its inverse is the identity",
             wit_r1 is None, wit_r1)
     rep.add("twist-r2-roundtrip", "R2 composed with its inverse is the identity",
@@ -851,56 +744,38 @@ def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
 
     # braid compatibilities with the two multiplications
     wit1 = wit2 = None
-    for r1c in window.elements:
-        for j1 in range(bside.algebra.dim(r1c)):
-            b1 = bside.algebra.basis_element(r1c, j1)
-            for r2c in window.elements:
-                for j2 in range(bside.algebra.dim(r2c)):
-                    b2 = bside.algebra.basis_element(r2c, j2)
-                    for s in window.elements:
-                        for i in range(aside.algebra.dim(s)):
-                            a = aside.algebra.basis_element(s, i)
-                            if wit1 is not None:
-                                break
-                            lhs = twist.r(TensorElement.of_pair(b1 * b2, a))
-                            step = twist.r(TensorElement.of_pair(b2, a))  # A (x) B
-                            rhs = TensorElement(aside.algebra, bside.algebra)
-                            for (s2, v2), block in step.blocks.items():
-                                for (i2, k2), c in block.items():
-                                    part = TensorElement.of_pair(
-                                        b1, aside.algebra.basis_element(s2, i2))
-                                    moved = twist.r(part).mul_leg2_right(
-                                        bside.algebra.basis_element(v2, k2)
-                                    )
-                                    rhs.accumulate(moved, c)
-                            if lhs != rhs:
-                                wit1 = "b=(%s,%d) b'=(%s,%d) a=(%s,%d)" % (
-                                    g.encode(r1c), j1, g.encode(r2c), j2, g.encode(s), i)
-    for r1c in window.elements:
-        for j1 in range(bside.algebra.dim(r1c)):
-            b1 = bside.algebra.basis_element(r1c, j1)
-            for s1 in window.elements:
-                for i1 in range(aside.algebra.dim(s1)):
-                    a1 = aside.algebra.basis_element(s1, i1)
-                    for s2 in window.elements:
-                        for i2 in range(aside.algebra.dim(s2)):
-                            if wit2 is not None:
-                                break
-                            a2 = aside.algebra.basis_element(s2, i2)
-                            lhs = twist.r(TensorElement.of_pair(b1, a1 * a2))
-                            step = twist.r(TensorElement.of_pair(b1, a1))  # A (x) B
-                            rhs = TensorElement(aside.algebra, bside.algebra)
-                            for (sa, rb), block in step.blocks.items():
-                                for (ia, jb), c in block.items():
-                                    part = TensorElement.of_pair(
-                                        bside.algebra.basis_element(rb, jb), a2)
-                                    moved = twist.r(part).mul_leg1_left(
-                                        aside.algebra.basis_element(sa, ia)
-                                    )
-                                    rhs.accumulate(moved, c)
-                            if lhs != rhs:
-                                wit2 = "b=(%s,%d) a=(%s,%d) a'=(%s,%d)" % (
-                                    g.encode(r1c), j1, g.encode(s1), i1, g.encode(s2), i2)
+    for (r1c, j1, b1), (r2c, j2, b2), (s, i, a) in product(b_basis, b_basis, a_basis):
+        lhs = twist.r(TensorElement.of_pair(b1 * b2, a))
+        step = twist.r(TensorElement.of_pair(b2, a))  # A (x) B
+        rhs = TensorElement(aside.algebra, bside.algebra)
+        for (s2, v2), block in step.blocks.items():
+            for (i2, k2), c in block.items():
+                part = TensorElement.of_pair(
+                    b1, aside.algebra.basis_element(s2, i2))
+                moved = twist.r(part).mul_leg2_right(
+                    bside.algebra.basis_element(v2, k2)
+                )
+                rhs.accumulate(moved, c)
+        if lhs != rhs:
+            wit1 = "b=%s b'=%s a=%s" % (
+                basis_label(g, (r1c, j1)), basis_label(g, (r2c, j2)), basis_label(g, (s, i)))
+            break
+    for (r1c, j1, b1), (s1, i1, a1), (s2, i2, a2) in product(b_basis, a_basis, a_basis):
+        lhs = twist.r(TensorElement.of_pair(b1, a1 * a2))
+        step = twist.r(TensorElement.of_pair(b1, a1))  # A (x) B
+        rhs = TensorElement(aside.algebra, bside.algebra)
+        for (sa, rb), block in step.blocks.items():
+            for (ia, jb), c in block.items():
+                part = TensorElement.of_pair(
+                    bside.algebra.basis_element(rb, jb), a2)
+                moved = twist.r(part).mul_leg1_left(
+                    aside.algebra.basis_element(sa, ia)
+                )
+                rhs.accumulate(moved, c)
+        if lhs != rhs:
+            wit2 = "b=%s a=%s a'=%s" % (
+                basis_label(g, (r1c, j1)), basis_label(g, (s1, i1)), basis_label(g, (s2, i2)))
+            break
     rep.add("twist-braid-b", "R after the B product factors through R twice",
             wit1 is None, wit1)
     rep.add("twist-braid-a", "R after the A product factors through R twice",
@@ -911,17 +786,17 @@ def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
 
     if check_crossing(twist.action, window).passed:
         witness = None
-        for s, i, r, j in basis_tensors():
+        for (s, i, _), (r, j, _) in product(a_basis, b_basis):
             img = twist.r_basis(r, j, s, i)
             if any(key[1] != r for key in img.blocks):
-                witness = "R moves (%s,%d)(x)(%s,%d) off the %s leg" % (
-                    g.encode(r), j, g.encode(s), i, g.encode(r))
+                witness = "R moves %s(x)%s off the %s leg" % (
+                    basis_label(g, (r, j)), basis_label(g, (s, i)), g.encode(r))
                 break
             back = TensorElement(aside.algebra, bside.algebra)
             back.add_term(s, r, i, j, ONE)
             if any(key[0] != r for key in twist.r_inv(back).blocks):
-                witness = "R^-1 moves (%s,%d)(x)(%s,%d) off the %s leg" % (
-                    g.encode(s), i, g.encode(r), j, g.encode(r))
+                witness = "R^-1 moves %s(x)%s off the %s leg" % (
+                    basis_label(g, (s, i)), basis_label(g, (r, j)), g.encode(r))
                 break
         rep.add("twist-component-typing",
                 "the twist carries each B component onto itself",
@@ -956,8 +831,11 @@ class DoubleStructure:
     comp_basis: dict  # view component P -> its (s, i, r, j) keys in local order
     label: str = ""
     deformed_delta: Optional[DeformedBlockDelta] = None
+    star_witness: Optional[str] = None  # of the star involution condition
     _mul_cache: dict = field(default_factory=dict, repr=False)
     _dbar_cache: dict = field(default_factory=dict, repr=False)
+    _sbar_cache: dict = field(default_factory=dict, repr=False)
+    _star_cache: dict = field(default_factory=dict, repr=False)
 
     # -- coordinates -------------------------------------------------------------
 
@@ -1069,15 +947,18 @@ class DoubleStructure:
         return out
 
     def sbar_tensor(self, s, i, r, j) -> TensorElement:
-        """The antipode on a basis vector: R((pi S)(b) (x) S^-1(a))."""
-        g = self.pairing.group
-        bside = self.pairing.b_side
-        aside = self.pairing.a_side
-        b = bside.algebra.basis_element(r, j)
-        sb = bside.antipode.apply(b)
-        sb = self.action.component_map(g.invert(r)).apply(sb)
-        sa_inv = self._a_antipode_inverse.apply(aside.algebra.basis_element(s, i))
-        return self.twist.r(TensorElement.of_pair(sb, sa_inv))
+        """The antipode on a basis vector: R((pi S)(b) (x) S^-1(a)), memoized."""
+        key = (s, i, r, j)
+        if key not in self._sbar_cache:
+            g = self.pairing.group
+            bside = self.pairing.b_side
+            aside = self.pairing.a_side
+            b = bside.algebra.basis_element(r, j)
+            sb = bside.antipode.apply(b)
+            sb = self.action.component_map(g.invert(r)).apply(sb)
+            sa_inv = self._a_antipode_inverse.apply(aside.algebra.basis_element(s, i))
+            self._sbar_cache[key] = self.twist.r(TensorElement.of_pair(sb, sa_inv))
+        return self._sbar_cache[key]
 
     @cached_property
     def _a_antipode_inverse(self) -> ComponentMap:
@@ -1085,31 +966,32 @@ class DoubleStructure:
         return self.pairing.a_side.antipode.inverse_on(self.twist.scan)
 
     def star_tensor(self, s, i, r, j) -> TensorElement:
-        """The involution on a basis vector: R(b* (x) a*)."""
-        bside = self.pairing.b_side
-        aside = self.pairing.a_side
-        bstar = bside.apply_star(bside.algebra.basis_element(r, j))
-        astar = aside.apply_star(aside.algebra.basis_element(s, i))
-        return self.twist.r(TensorElement.of_pair(bstar, astar))
+        """The involution on a basis vector: R(b* (x) a*), memoized."""
+        key = (s, i, r, j)
+        if key not in self._star_cache:
+            bside = self.pairing.b_side
+            aside = self.pairing.a_side
+            bstar = bside.apply_star(bside.algebra.basis_element(r, j))
+            astar = aside.apply_star(aside.algebra.basis_element(s, i))
+            self._star_cache[key] = self.twist.r(TensorElement.of_pair(bstar, astar))
+        return self._star_cache[key]
 
 
-def _star_involution_witness(d: DoubleStructure, window: Window):
+def _star_involution_witness(d: DoubleStructure):
     """The twisted-tensor star condition: applying R(b* (x) a*) twice is the identity."""
     aside, bside = d.pairing.a_side, d.pairing.b_side
     g = d.pairing.group
-    for s, i in d.a_basis:
-        for r, j in d.b_basis:
-            once = d.star_tensor(s, i, r, j)
-            twice = TensorElement(aside.algebra, bside.algebra)
-            for s2, r2, i2, j2, c in once.terms():
-                twice.accumulate(d.star_tensor(s2, i2, r2, j2), c.conj())
-            if twice != d.basis_tensor(s, i, r, j):
-                return "basis (%s,%d)(x)(%s,%d)" % (
-                    g.encode(s), i, g.encode(r), j)
+    for (s, i), (r, j) in product(d.a_basis, d.b_basis):
+        once = d.star_tensor(s, i, r, j)
+        twice = TensorElement(aside.algebra, bside.algebra)
+        for s2, r2, i2, j2, c in once.terms():
+            twice.accumulate(d.star_tensor(s2, i2, r2, j2), c.conj())
+        if twice != d.basis_tensor(s, i, r, j):
+            return "basis %s(x)%s" % (basis_label(g, (s, i)), basis_label(g, (r, j)))
     return None
 
 
-def build_double(pairing: Pairing, action: Action, window: Optional[Window] = None) -> DoubleStructure:
+def build_double(pairing: Pairing, action: Action) -> DoubleStructure:
     """Assemble the double of a pairing along an admissible action.
 
     The product comes from the twist map (composition and closed form are
@@ -1120,13 +1002,13 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
     g = pairing.group
     if not g.is_finite:
         raise ValueError("the double needs a finite group")
-    window = window or Window.full(g)
+    window = Window.full(g)
     cert = action._certified.get(window.label) or check_admissible(action, window)
     if not cert.passed:
         raise ValueError("action %s is not admissible" % action.label)
     aside, bside = pairing.a_side, pairing.b_side
     crossing = check_crossing(action, window).passed
-    twist = TwistCalculus(pairing, action, window)
+    twist = TwistCalculus(pairing, action)
 
     a_basis = [(s, i) for s in g.elements for i in range(aside.algebra.dim(s))]
     b_basis = [(r, j) for r in g.elements for j in range(bside.algebra.dim(r))]
@@ -1217,9 +1099,9 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
         return P, component(P).star
 
     if has_star:
-        witness = _star_involution_witness(d, window)
-        if witness is not None:
-            raise ValueError("star involution condition fails at %s" % witness)
+        d.star_witness = _star_involution_witness(d)
+        if d.star_witness is not None:
+            raise ValueError("star involution condition fails at %s" % d.star_witness)
 
     view = MhaStructure(
         algebra=view_alg,
@@ -1240,10 +1122,10 @@ def build_double(pairing: Pairing, action: Action, window: Optional[Window] = No
 # ---------------------------------------------------------------------------
 
 
-def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> CertificateReport:
+def check_double_axioms(d: DoubleStructure) -> CertificateReport:
     """The full Hopf suite on the double plus its construction identities."""
     g = d.pairing.group
-    window = window or Window.full(g)
+    window = Window.full(g)
     view_window = Window.full(d.mha.group)
     rep = CertificateReport(
         title="double axioms (%s)" % d.label, window=window.label,
@@ -1256,93 +1138,81 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
 
     # coproduct compatibility with the twist, on all basis pairs
     witness = None
-    for (r, j) in d.b_basis:
-        if witness:
+    for (r, j), (s, i) in product(d.b_basis, d.a_basis):
+        moved = d.twist.r_basis(r, j, s, i)
+        lhs = TensorElement(d.mha.algebra, d.mha.algebra)
+        for sm, rm, im, jm, c in moved.terms():
+            lhs.accumulate(d.dbar(sm, im, rm, jm), c)
+        rhs = d._leg_products(s, i, r, j, b_first=True)
+        if lhs != rhs:
+            witness = "b=%s a=%s" % (basis_label(g, (r, j)), basis_label(g, (s, i)))
             break
-        for (s, i) in d.a_basis:
-            moved = d.twist.r_basis(r, j, s, i)
-            lhs = TensorElement(d.mha.algebra, d.mha.algebra)
-            for sm, rm, im, jm, c in moved.terms():
-                lhs.accumulate(d.dbar(sm, im, rm, jm), c)
-            rhs = d._leg_products(s, i, r, j, b_first=True)
-            if lhs != rhs:
-                witness = "b=(%s,%d) a=(%s,%d)" % (g.encode(r), j, g.encode(s), i)
-                break
     rep.add("coproduct-twist-compatibility",
             "the coproduct of R(b (x) a) equals the reversed multiplier product",
             witness is None, witness)
 
     # the alternate product expressions
-    witness = None
     r_inv_cache = {
         key: d.twist.r_inv(d.basis_tensor(*key))
         for key in ((s, i, r, j) for (s, i) in d.a_basis for (r, j) in d.b_basis)
     }
-    for (s1, i1) in d.a_basis:
-        if witness:
+
+    @lru_cache(maxsize=1)  # the walk below asks for one left part at a time
+    def left_parts(s1, i1, r1, j1, s2, i2):
+        """R(b (x) a a2) for the terms b (x) a of R^-1 of the left factor."""
+        a2 = aside.algebra.basis_element(s2, i2)
+        parts = []
+        for (rb, sa), block in r_inv_cache[(s1, i1, r1, j1)].blocks.items():
+            for (jb, ia), c in block.items():
+                mid = aside.algebra.basis_element(sa, ia) * a2
+                part = TensorElement(bside.algebra, aside.algebra)
+                part.accumulate_outer(bside.algebra.basis_element(rb, jb), mid, c)
+                parts.append(d.twist.r(part))
+        return parts
+
+    a_basis = aside.algebra.basis_on(window)
+    b_basis = bside.algebra.basis_on(window)
+    witness = None
+    for (s1, i1, a1), (r1, j1, b1), (s2, i2, _), (r2, j2, b2) in product(
+            a_basis, b_basis, a_basis, b_basis):
+        primary = d._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
+        # variant resolving the left factor through the inverse twist
+        alt1 = TensorElement(aside.algebra, bside.algebra)
+        for moved in left_parts(s1, i1, r1, j1, s2, i2):
+            alt1.accumulate(moved.mul_leg2_right(b2))
+        if alt1 != primary:
+            witness = "variant-1 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
+                g.encode(s1), i1, g.encode(r1), j1,
+                g.encode(s2), i2, g.encode(r2), j2)
             break
-        for (r1, j1) in d.b_basis:
-            if witness:
-                break
-            back1 = r_inv_cache[(s1, i1, r1, j1)]  # B (x) A
-            for (s2, i2) in d.a_basis:
-                if witness:
-                    break
-                a2 = aside.algebra.basis_element(s2, i2)
-                mids1 = []
-                for (rb, sa), block in back1.blocks.items():
-                    for (jb, ia), c in block.items():
-                        mid = aside.algebra.basis_element(sa, ia) * a2
-                        part = TensorElement(bside.algebra, aside.algebra)
-                        part.accumulate_outer(bside.algebra.basis_element(rb, jb), mid, c)
-                        mids1.append(d.twist.r(part))
-                for (r2, j2) in d.b_basis:
-                    primary = d._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
-                    # variant resolving the left factor through the inverse twist
-                    b2 = bside.algebra.basis_element(r2, j2)
-                    alt1 = TensorElement(aside.algebra, bside.algebra)
-                    for moved in mids1:
-                        alt1.accumulate(moved.mul_leg2_right(b2))
-                    if alt1 != primary:
-                        witness = "variant-1 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
-                            g.encode(s1), i1, g.encode(r1), j1,
-                            g.encode(s2), i2, g.encode(r2), j2)
-                        break
-                    # variant resolving the right factor through the inverse twist
-                    back2 = r_inv_cache[(s2, i2, r2, j2)]
-                    alt2 = TensorElement(aside.algebra, bside.algebra)
-                    b1 = bside.algebra.basis_element(r1, j1)
-                    a1 = aside.algebra.basis_element(s1, i1)
-                    for (rb, sa), block in back2.blocks.items():
-                        for (jb, ia), c in block.items():
-                            mid = b1 * bside.algebra.basis_element(rb, jb)
-                            part = TensorElement(bside.algebra, aside.algebra)
-                            part.accumulate_outer(mid, aside.algebra.basis_element(sa, ia), c)
-                            alt2.accumulate(d.twist.r(part).mul_leg1_left(a1))
-                    if alt2 != primary:
-                        witness = "variant-2 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
-                            g.encode(s1), i1, g.encode(r1), j1,
-                            g.encode(s2), i2, g.encode(r2), j2)
-                        break
+        # variant resolving the right factor through the inverse twist
+        back2 = r_inv_cache[(s2, i2, r2, j2)]
+        alt2 = TensorElement(aside.algebra, bside.algebra)
+        for (rb, sa), block in back2.blocks.items():
+            for (jb, ia), c in block.items():
+                mid = b1 * bside.algebra.basis_element(rb, jb)
+                part = TensorElement(bside.algebra, aside.algebra)
+                part.accumulate_outer(mid, aside.algebra.basis_element(sa, ia), c)
+                alt2.accumulate(d.twist.r(part).mul_leg1_left(a1))
+        if alt2 != primary:
+            witness = "variant-2 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
+                g.encode(s1), i1, g.encode(r1), j1,
+                g.encode(s2), i2, g.encode(r2), j2)
+            break
     rep.add("alternate-products", "both leg-resolved product expressions agree",
             witness is None, witness)
 
     if d.mha.star is not None:
-        witness = _star_involution_witness(d, window)
         rep.add("star-involution-condition",
-                "twisting the star twice is the identity", witness is None, witness)
+                "twisting the star twice is the identity", d.star_witness is None, d.star_witness)
 
     witness = None
-    for (s, i) in d.a_basis:
-        if witness:
+    for (s, i), (r, j) in product(d.a_basis, d.b_basis):
+        direct = d.view_coords(d.sbar_tensor(s, i, r, j))
+        x = d.view_coords(d.basis_tensor(s, i, r, j))
+        if direct != d.mha.antipode.apply(x):
+            witness = "(%s,%d|%s,%d)" % (g.encode(s), i, g.encode(r), j)
             break
-        for (r, j) in d.b_basis:
-            direct = d.view_coords(d.sbar_tensor(s, i, r, j))
-            x = d.view_coords(d.basis_tensor(s, i, r, j))
-            via_matrix = d.mha.antipode.apply(x)
-            if direct != via_matrix:
-                witness = "(%s,%d|%s,%d)" % (g.encode(s), i, g.encode(r), j)
-                break
     rep.add("antipode-twist-formula",
             "the stored antipode equals the twist-composed formula",
             witness is None, witness)
@@ -1350,11 +1220,10 @@ def check_double_axioms(d: DoubleStructure, window: Optional[Window] = None) -> 
     if d.crossing:
         witness = None
         for P, Q in window.pairs():
-            if P == Q or witness:
-                continue
-            if any(not d._basis_product(x + y).is_zero()
-                   for x in d.comp_basis[P] for y in d.comp_basis[Q]):
+            if P != Q and any(not d._basis_product(x + y).is_zero()
+                              for x in d.comp_basis[P] for y in d.comp_basis[Q]):
                 witness = "components %s and %s do not annihilate" % (g.encode(P), g.encode(Q))
+                break
         rep.add("grading-diagonal", "distinct double components multiply to zero",
                 witness is None, witness)
     return rep
@@ -1418,18 +1287,13 @@ def double_right_integral(
         sol = solve_linear(rows_of_columns(cols, comp.dim), comp.unit, comp.dim)
         inv_delta_b[s] = bside.algebra.element({s: sol.particular})
     witness = None
-    for (r, j) in d.b_basis:
-        if witness:
+    for (r, j, b), (s, i, a) in product(bside.algebra.basis_on(window), aside.algebra.basis_on(window)):
+        img = d.twist.r_basis(r, j, s, i)
+        got = img.apply_covector_leg2(psi_t.covector)
+        expected = act_b_on_a(d.pairing, inv_delta_b[s], a).scale(psi_t.value(b))
+        if got != expected:
+            witness = "b=%s a=%s" % (basis_label(g, (r, j)), basis_label(g, (s, i)))
             break
-        b = bside.algebra.basis_element(r, j)
-        for (s, i) in d.a_basis:
-            a = aside.algebra.basis_element(s, i)
-            img = d.twist.r_basis(r, j, s, i)
-            got = img.apply_covector_leg2(psi_t.covector)
-            expected = act_b_on_a(d.pairing, inv_delta_b[s], a).scale(psi_t.value(b))
-            if got != expected:
-                witness = "b=(%s,%d) a=(%s,%d)" % (g.encode(r), j, g.encode(s), i)
-                break
     rep.add("integral-slice-identity",
             "collapsing the twist against the integral matches the modular action",
             witness is None, witness)

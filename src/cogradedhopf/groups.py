@@ -248,6 +248,12 @@ class Window:
                     yield p, q, r
 
 
+def basis_label(g: GroupOracle, *keys) -> str:
+    """Report label "(p,i),(q,j),..." of basis keys; each key starts with a
+    component and an index, as the triples of a basis walk do."""
+    return ",".join("(%s,%d)" % (g.encode(key[0]), key[1]) for key in keys)
+
+
 def check_group_laws_on_window(g: GroupOracle, w: Window) -> Optional[str]:
     """Spot-verify group laws on a window; returns a witness string or None.
 

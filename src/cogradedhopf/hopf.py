@@ -41,7 +41,7 @@ from .exact import (
     solve_linear,
     vector,
 )
-from .groups import GroupOracle, Window
+from .groups import GroupOracle, Window, basis_label
 from .report import CertificateReport
 
 
@@ -438,28 +438,24 @@ def check_coassociativity(h: MhaStructure, window: Window) -> CertificateReport:
     )
     if h.delta.diagonal:
         witness = None
-        for r in window.elements:
-            for i in range(alg.dim(r)):
-                x = alg.basis_element(r, i)
-                t = h.delta_part_by_second(x, None)
-                left: dict = {}
-                right: dict = {}
-                for (p, q), block in t.blocks.items():
-                    cols_p = h.delta.block_cols(p, p)
-                    cols_q = h.delta.block_cols(q, q)
-                    d2 = alg.dim(p)
-                    d3 = alg.dim(q)
-                    for (a, b), c in block.items():
-                        accumulate(left, (
-                            (((p, p, q), divmod(idx, d2) + (b,)), cc) for idx, cc in cols_p[a].items()
-                        ), c)
-                        accumulate(right, (
-                            (((p, q, q), (a,) + divmod(idx, d3)), cc) for idx, cc in cols_q[b].items()
-                        ), c)
-                if left != right:
-                    witness = "basis (%s, %d)" % (g.encode(r), i)
-                    break
-            if witness:
+        for r, i, x in alg.basis_on(window):
+            t = h.delta_part_by_second(x, None)
+            left: dict = {}
+            right: dict = {}
+            for (p, q), block in t.blocks.items():
+                cols_p = h.delta.block_cols(p, p)
+                cols_q = h.delta.block_cols(q, q)
+                d2 = alg.dim(p)
+                d3 = alg.dim(q)
+                for (a, b), c in block.items():
+                    accumulate(left, (
+                        (((p, p, q), divmod(idx, d2) + (b,)), cc) for idx, cc in cols_p[a].items()
+                    ), c)
+                    accumulate(right, (
+                        (((p, q, q), (a,) + divmod(idx, d3)), cc) for idx, cc in cols_q[b].items()
+                    ), c)
+            if left != right:
+                witness = "basis (%s, %d)" % (g.encode(r), i)
                 break
         rep.add("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", witness is None, witness)
         return rep
@@ -511,25 +507,21 @@ def check_counit(h: MhaStructure, window: Window) -> CertificateReport:
         title="counit identities (%s)" % h.label, window=window.label, subject_digest=h.label
     )
     wit_right = wit_left = wit_hom = None
-    basis = {p: [alg.basis_element(p, i) for i in range(alg.dim(p))]
-             for p in window.elements}
-    for r, q in window.pairs():
-        for i, x in enumerate(basis[r]):
-            for j, y in enumerate(basis[q]):
-                xy = x * y
-                if wit_right is None:
-                    t = h.coproduct_right_cut(x, y)
-                    if t.apply_covector_leg1(h.counit_covector) != xy:
-                        wit_right = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
-                if wit_left is None:
-                    t = h.coproduct_left_cut(x, y)
-                    if t.apply_covector_leg2(h.counit_covector) != xy:
-                        wit_left = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
-                if wit_hom is None:
-                    lhs = h.counit_value(xy)
-                    rhs = h.counit_value(x) * h.counit_value(y)
-                    if lhs != rhs:
-                        wit_hom = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
+    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
+        xy = x * y
+        if wit_right is None:
+            t = h.coproduct_right_cut(x, y)
+            if t.apply_covector_leg1(h.counit_covector) != xy:
+                wit_right = basis_label(g, (r, i), (q, j))
+        if wit_left is None:
+            t = h.coproduct_left_cut(x, y)
+            if t.apply_covector_leg2(h.counit_covector) != xy:
+                wit_left = basis_label(g, (r, i), (q, j))
+        if wit_hom is None:
+            lhs = h.counit_value(xy)
+            rhs = h.counit_value(x) * h.counit_value(y)
+            if lhs != rhs:
+                wit_hom = basis_label(g, (r, i), (q, j))
     rep.add("counit-right", "(eps(x)id)(Delta(a)(1(x)b)) = ab", wit_right is None, wit_right)
     rep.add("counit-left", "(id(x)eps)((a(x)1)Delta(b)) = ab", wit_left is None, wit_left)
     rep.add("counit-homomorphism", "eps(ab) = eps(a)eps(b)", wit_hom is None, wit_hom)
@@ -545,30 +537,27 @@ def check_antipode(h: MhaStructure, window: Window) -> CertificateReport:
     )
     fam = h.antipode.fn
     wit1 = wit2 = wit_anti = None
-    basis = {p: [alg.basis_element(p, i) for i in range(alg.dim(p))]
-             for p in window.elements}
-    eps = {p: [h.counit_value(x) for x in basis[p]] for p in window.elements}
-    sa = {p: [h.antipode.apply(x) for x in basis[p]] for p in window.elements}
-    for r, q in window.pairs():
-        for i, x in enumerate(basis[r]):
-            for j, y in enumerate(basis[q]):
-                if wit1 is None:
-                    t = h.coproduct_right_cut(x, y).map_leg1(fam)
-                    got = t.contract_product()
-                    want = eps[r][i] * y
-                    if got != want:
-                        wit1 = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
-                if wit2 is None:
-                    t = h.coproduct_left_cut(x, y).map_leg2(fam)
-                    got = t.contract_product()
-                    want = eps[q][j] * x
-                    if got != want:
-                        wit2 = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
-                if wit_anti is None:
-                    lhs = h.antipode.apply(x * y)
-                    rhs = sa[q][j] * sa[r][i]
-                    if lhs != rhs:
-                        wit_anti = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
+    basis = alg.basis_on(window)
+    eps = {(p, i): h.counit_value(x) for p, i, x in basis}
+    sa = {(p, i): h.antipode.apply(x) for p, i, x in basis}
+    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
+        if wit1 is None:
+            t = h.coproduct_right_cut(x, y).map_leg1(fam)
+            got = t.contract_product()
+            want = eps[r, i] * y
+            if got != want:
+                wit1 = basis_label(g, (r, i), (q, j))
+        if wit2 is None:
+            t = h.coproduct_left_cut(x, y).map_leg2(fam)
+            got = t.contract_product()
+            want = eps[q, j] * x
+            if got != want:
+                wit2 = basis_label(g, (r, i), (q, j))
+        if wit_anti is None:
+            lhs = h.antipode.apply(x * y)
+            rhs = sa[q, j] * sa[r, i]
+            if lhs != rhs:
+                wit_anti = basis_label(g, (r, i), (q, j))
     rep.add("antipode-right", "m((S(x)id)(Delta(a)(1(x)b))) = eps(a)b", wit1 is None, wit1)
     rep.add("antipode-left", "m((id(x)S)((a(x)1)Delta(b))) = eps(b)a", wit2 is None, wit2)
     rep.add("antipode-antihomomorphism", "S(ab) = S(b)S(a)", wit_anti is None, wit_anti)
@@ -612,29 +601,26 @@ def check_star(h: MhaStructure, window: Window) -> CertificateReport:
     )
     star = h.star
     wit_inv = wit_anti = wit_delta = None
-    basis = {p: [alg.basis_element(p, i) for i in range(alg.dim(p))]
-             for p in window.elements}
-    starred = {p: [star.apply(x) for x in basis[p]] for p in window.elements}
-    for r in window.elements:
-        for i, x in enumerate(basis[r]):
-            if wit_inv is None and star.apply(starred[r][i]) != x:
-                wit_inv = "(%s,%d)" % (g.encode(r), i)
-    for r, q in window.pairs():
-        for i, x in enumerate(basis[r]):
-            for j, y in enumerate(basis[q]):
-                if wit_anti is None:
-                    if star.apply(x * y) != starred[q][j] * starred[r][i]:
-                        wit_anti = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
-                if wit_delta is None:
-                    lhs = h.coproduct_right_cut(starred[r][i], y)
-                    inner = h.coproduct_left_cut_second(starred[q][j], x)
-                    rhs = (
-                        inner.conj_coefficients()
-                        .map_leg1(star.fn)
-                        .map_leg2(star.fn)
-                    )
-                    if lhs != rhs:
-                        wit_delta = "(%s,%d),(%s,%d)" % (g.encode(r), i, g.encode(q), j)
+    basis = alg.basis_on(window)
+    starred = {(p, i): star.apply(x) for p, i, x in basis}
+    for r, i, x in basis:
+        if star.apply(starred[r, i]) != x:
+            wit_inv = basis_label(g, (r, i))
+            break
+    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
+        if wit_anti is None:
+            if star.apply(x * y) != starred[q, j] * starred[r, i]:
+                wit_anti = basis_label(g, (r, i), (q, j))
+        if wit_delta is None:
+            lhs = h.coproduct_right_cut(starred[r, i], y)
+            inner = h.coproduct_left_cut_second(starred[q, j], x)
+            rhs = (
+                inner.conj_coefficients()
+                .map_leg1(star.fn)
+                .map_leg2(star.fn)
+            )
+            if lhs != rhs:
+                wit_delta = basis_label(g, (r, i), (q, j))
     rep.add("star-involutive", "x** = x", wit_inv is None, wit_inv)
     rep.add("star-antimultiplicative", "(xy)* = y* x*", wit_anti is None, wit_anti)
     rep.add("star-coproduct", "Delta(x*) = Delta(x)*", wit_delta is None, wit_delta)
@@ -851,31 +837,24 @@ def modular_element(
         dq = alg.dim(q)
         lhs_rows = []
         rhs = []
-        for r in window.elements:
-            for i in range(alg.dim(r)):
-                a = alg.basis_element(r, i)
-                if h.delta.diagonal:
-                    t = h.delta_part_by_second(a, None)
-                    vec = t.apply_covector_leg1(phi.covector).coeff(q)
-                else:
-                    ps = h.delta.firsts_for(r, q)
-                    if phi_domain is not None and any(p not in phi_domain for p in ps):
-                        continue  # would touch the functional outside its window
-                    acc = [ZERO] * dq
-                    for p in ps:
-                        cols = h.delta.block_cols(p, q)
-                        if cols is None:
-                            continue
-                        cov = phi.covector(p)
-                        for idx, c in cols[i].items():
-                            aidx, b = divmod(idx, dq)
-                            if cov[aidx]:
-                                acc[b] = acc[b] + cov[aidx] * c
-                    vec = tuple(acc)
-                coeff = phi.value(a)
-                for k in range(dq):
-                    lhs_rows.append({k: coeff})
-                    rhs.append(vec[k])
+        for r, i, a in alg.basis_on(window):
+            ps = h.delta.firsts_for(r, q)
+            if phi_domain is not None and any(p not in phi_domain for p in ps):
+                continue  # would touch the functional outside its window
+            vec = [ZERO] * dq
+            for p in ps:
+                cols = h.delta.block_cols(p, q)
+                if cols is None:
+                    continue
+                cov = phi.covector(p)
+                for idx, c in cols[i].items():
+                    aidx, b = divmod(idx, dq)
+                    if cov[aidx]:
+                        vec[b] = vec[b] + cov[aidx] * c
+            coeff = phi.value(a)
+            for k in range(dq):
+                lhs_rows.append({k: coeff})
+                rhs.append(vec[k])
         sol = solve_linear(lhs_rows, rhs, dq)
         if sol is None:
             raise ValueError(
@@ -910,27 +889,26 @@ def check_faithful(
     rep = CertificateReport(
         title="faithfulness (%s)" % phi.label, window=window.label, subject_digest=h.label
     )
+    basis = alg.basis_on(window)
     for p in window.elements:
         dp = alg.dim(p)
+        own = [(i, a) for q, i, a in basis if q == p]
         rows_left = []
         rows_right = []
-        for q in window.elements:
-            for j in range(alg.dim(q)):
-                b = alg.basis_element(q, j)
-                row_l = {}
-                row_r = {}
-                for i in range(dp):
-                    a = alg.basis_element(p, i)
-                    val = phi.value(a * b)
-                    if val:
-                        row_l[i] = val
-                    val = phi.value(b * a)
-                    if val:
-                        row_r[i] = val
-                if row_l:
-                    rows_left.append(row_l)
-                if row_r:
-                    rows_right.append(row_r)
+        for _, _, b in basis:
+            row_l = {}
+            row_r = {}
+            for i, a in own:
+                val = phi.value(a * b)
+                if val:
+                    row_l[i] = val
+                val = phi.value(b * a)
+                if val:
+                    row_r[i] = val
+            if row_l:
+                rows_left.append(row_l)
+            if row_r:
+                rows_right.append(row_r)
         ok_l = not kernel_of_sparse_rows(rows_left, dp)
         ok_r = not kernel_of_sparse_rows(rows_right, dp)
         tag = g.encode(p)
@@ -960,26 +938,17 @@ def modular_automorphism(
                 var_list.append((p, k, i))
     rows = []
     rhs = []
+    basis = alg.basis_on(window)
     for p in window.elements:
-        dp = alg.dim(p)
-        for q in window.elements:
-            for j in range(alg.dim(q)):
-                b = alg.basis_element(q, j)
-                precomp = []
-                for k in range(dp):
-                    ek = alg.basis_element(p, k)
-                    precomp.append(phi.value(b * ek))
-                for i in range(dp):
-                    a = alg.basis_element(p, i)
-                    row = {}
-                    for k in range(dp):
-                        c = precomp[k]
-                        if c:
-                            row[var_index[(p, k, i)]] = c
-                    target = phi.value(a * b)
-                    if row or target:
-                        rows.append(row)
-                        rhs.append(target)
+        own = [(i, a) for q, i, a in basis if q == p]
+        for _, _, b in basis:
+            precomp = [phi.value(b * ek) for _, ek in own]
+            for i, a in own:
+                row = {var_index[(p, k, i)]: c for k, c in enumerate(precomp) if c}
+                target = phi.value(a * b)
+                if row or target:
+                    rows.append(row)
+                    rhs.append(target)
     sol = solve_linear(rows, rhs, len(var_list))
     if sol is None:
         raise ValueError("no modular automorphism matches the functional")
@@ -1000,17 +969,12 @@ def modular_automorphism(
         rep.add("sigma-unique", "solution space is zero-dimensional", True)
     sigma = ComponentMap(alg, alg, lambda p: (p, family[p]), label="sigma")
     wit_def = wit_hom = wit_bij = None
-    for p, q in window.pairs():
-        for i in range(alg.dim(p)):
-            a = alg.basis_element(p, i)
-            sa = sigma.apply(a)
-            for j in range(alg.dim(q)):
-                b = alg.basis_element(q, j)
-                if wit_def is None and phi.value(a * b) != phi.value(b * sa):
-                    wit_def = "(%s,%d),(%s,%d)" % (g.encode(p), i, g.encode(q), j)
-                if wit_hom is None:
-                    if sigma.apply(a * b) != sa * sigma.apply(b):
-                        wit_hom = "(%s,%d),(%s,%d)" % (g.encode(p), i, g.encode(q), j)
+    sa = {(p, i): sigma.apply(a) for p, i, a in basis}
+    for (p, i, a), (q, j, b) in alg.basis_pairs(window):
+        if wit_def is None and phi.value(a * b) != phi.value(b * sa[p, i]):
+            wit_def = basis_label(g, (p, i), (q, j))
+        if wit_hom is None and sigma.apply(a * b) != sa[p, i] * sa[q, j]:
+            wit_hom = basis_label(g, (p, i), (q, j))
     for p in window.elements:
         if not is_bijective(family[p]):
             wit_bij = "sigma block at %s singular" % g.encode(p)
@@ -1032,20 +996,9 @@ def check_positive_integral(
         title="integral positivity (%s)" % phi.label, window=window.label,
         subject_digest=h.label,
     )
-    basis = [
-        (p, i, alg.basis_element(p, i))
-        for p in window.elements
-        for i in range(alg.dim(p))
-    ]
+    basis = alg.basis_on(window)
     starred = [h.star.apply(x) for (_, _, x) in basis]
-    n = len(basis)
-    entries = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            row.append(phi.value(starred[a] * basis[b][2]))
-        entries.append(row)
-    gram = Matrix.from_rows(entries)
+    gram = Matrix.from_rows([[phi.value(sx * y) for _, _, y in basis] for sx in starred])
     if gram != gram.conj_transpose():
         rep.add("gram-hermitian", "Gram matrix of phi is Hermitian", False,
                 "phi(x*y) != conj(phi(y*x)) somewhere")

@@ -116,7 +116,7 @@ def test_induced_grading_s3(pair_s3):
 def test_twist_trivial_action_closed_form(pair_s3):
     # R(delta_r (x) u_h) = u_h (x) delta_{h^-1 r h} for the trivial action
     g = pair_s3.group
-    tw = TwistCalculus(pair_s3, trivial_action(pair_s3.b_side), wfull(pair_s3))
+    tw = TwistCalculus(pair_s3, trivial_action(pair_s3.b_side))
     for r in g.elements:
         for h in g.elements:
             img = tw.r_basis(r, 0, h, 0)
@@ -129,7 +129,7 @@ def test_twist_trivial_action_closed_form(pair_s3):
 def test_twist_adjoint_action_closed_form(pair_s3):
     # with the conjugation shuffle the twist reduces to the flip
     g = pair_s3.group
-    tw = TwistCalculus(pair_s3, adjoint_shuffle_action(pair_s3.b_side), wfull(pair_s3))
+    tw = TwistCalculus(pair_s3, adjoint_shuffle_action(pair_s3.b_side))
     for r in g.elements:
         for h in g.elements:
             img = tw.r_basis(r, 0, h, 0)
@@ -139,14 +139,14 @@ def test_twist_adjoint_action_closed_form(pair_s3):
 
 
 def test_twist_report_trivial(pair_s3):
-    tw = TwistCalculus(pair_s3, trivial_action(pair_s3.b_side), wfull(pair_s3))
+    tw = TwistCalculus(pair_s3, trivial_action(pair_s3.b_side))
     rep = check_twist(tw, wfull(pair_s3))
     assert rep.passed, rep.text()
 
 
 def test_twist_crossing_block_typing(pair_s3):
     g = pair_s3.group
-    tw = TwistCalculus(pair_s3, adjoint_shuffle_action(pair_s3.b_side), wfull(pair_s3))
+    tw = TwistCalculus(pair_s3, adjoint_shuffle_action(pair_s3.b_side))
     for r in g.elements:
         for h in g.elements:
             img = tw.r_basis(r, 0, h, 0)
@@ -220,6 +220,42 @@ def test_adjoint_double_s3_is_graded(pair_s3):
         assert d.mha.algebra.dim(p) == 6
     rep = full_suite(d.mha, Window.full(g))
     assert rep.passed, rep.text()
+
+
+def test_double_images_are_computed_once_per_basis_tensor(monkeypatch):
+    # each uncached R(b* (x) a*) stars one A basis vector, and each uncached
+    # R((pi S)(b) (x) S^-1(a)) takes one component map of the action
+    import cogradedhopf.double as double
+    from cogradedhopf.cograded import Action, check_admissible
+    from cogradedhopf.hopf import MhaStructure
+
+    pairing = make_group_function_pairing(s3_group())
+    act = adjoint_shuffle_action(pairing.b_side)
+    check_admissible(act, wfull(pairing))  # certified before the counting starts
+    counts = {"star": 0, "sbar": 0, "involution": 0}
+    apply_star, component_map = MhaStructure.apply_star, Action.component_map
+    involution_witness = double._star_involution_witness
+
+    def count_star(self, x):
+        counts["star"] += self is pairing.a_side
+        return apply_star(self, x)
+
+    def count_sbar(self, p):
+        counts["sbar"] += self is act
+        return component_map(self, p)
+
+    def count_involution(*args):
+        counts["involution"] += 1
+        return involution_witness(*args)
+
+    monkeypatch.setattr(MhaStructure, "apply_star", count_star)
+    monkeypatch.setattr(Action, "component_map", count_sbar)
+    monkeypatch.setattr(double, "_star_involution_witness", count_involution)
+    d = build_double(pairing, act)
+    rep = check_double_axioms(d)
+    assert rep.passed, rep.text()
+    assert len(d.a_basis) * len(d.b_basis) == 36
+    assert counts == {"star": 36, "sbar": 36, "involution": 1}
 
 
 @pytest.mark.parametrize("make_action", [trivial_action, adjoint_shuffle_action])
