@@ -529,6 +529,7 @@ class TwistCalculus:
         self.scan = pairing.group.elements
         self._sinv = self.bside.antipode.inverse_on(self.scan)
         self._r_cache: dict = {}
+        self._sbar_cache: dict = {}
 
     # -- Sweedler slices of the cograded side ---------------------------------
 
@@ -701,6 +702,22 @@ class TwistCalculus:
         """R^-1 = flip . R2 . R1^-1 on an element of A (x) B."""
         return self.r2(self.r1_inv(t)).flip()
 
+    def sbar_tensor(self, s, i, r, j) -> TensorElement:
+        """The double's antipode on a basis tensor: R((pi S)(b) (x) S^-1(a)), memoized."""
+        key = (s, i, r, j)
+        if key not in self._sbar_cache:
+            g = self.pairing.group
+            sb = self.bside.antipode.apply(self.bside.algebra.basis_element(r, j))
+            sb = self.action.component_map(g.invert(r)).apply(sb)
+            sa_inv = self._a_antipode_inverse.apply(self.aside.algebra.basis_element(s, i))
+            self._sbar_cache[key] = self.r(TensorElement.of_pair(sb, sa_inv))
+        return self._sbar_cache[key]
+
+    @cached_property
+    def _a_antipode_inverse(self) -> ComponentMap:
+        """The inverse of the A antipode on the scan, built once per twist."""
+        return self.aside.antipode.inverse_on(self.scan)
+
 
 def check_twist(twist: TwistCalculus, window: Window) -> CertificateReport:
     """Round trips, closed-form agreement, and the braid compatibilities."""
@@ -833,8 +850,8 @@ class DoubleStructure:
     deformed_delta: Optional[DeformedBlockDelta] = None
     star_witness: Optional[str] = None  # of the star involution condition
     _mul_cache: dict = field(default_factory=dict, repr=False)
+    _leg_cache: dict = field(default_factory=dict, repr=False)
     _dbar_cache: dict = field(default_factory=dict, repr=False)
-    _sbar_cache: dict = field(default_factory=dict, repr=False)
     _star_cache: dict = field(default_factory=dict, repr=False)
 
     # -- coordinates -------------------------------------------------------------
@@ -851,13 +868,6 @@ class DoubleStructure:
             P, k = self.position[(s, i, r, j)]
             acc.setdefault(P, {})[k] = c  # distinct terms have distinct positions
         return self.mha.algebra.from_sparse(acc)
-
-    def view_row(self, t: TensorElement, P) -> dict:
-        """The sparse row of an A (x) B tensor that lies in view component P."""
-        comps = self.view_coords(t).comps
-        if comps.keys() - {P}:
-            raise ValueError("tensor leaves the view component %s" % self.mha.group.encode(P))
-        return comps.get(P, {})
 
     def basis_tensor(self, s, i, r, j) -> TensorElement:
         t = TensorElement(self.pairing.a_side.algebra, self.pairing.b_side.algebra)
@@ -890,13 +900,10 @@ class DoubleStructure:
                 out.accumulate(self._basis_product((s1, i1, r1, j1, s2, i2, r2, j2)), c1 * c2)
         return out
 
-    def embed_a(self, a: GradedElement) -> TensorElement:
-        unit_b = self.pairing.b_side.unit_element()
-        return TensorElement.of_pair(a, unit_b)
-
-    def embed_b(self, b: GradedElement) -> TensorElement:
-        unit_a = self.pairing.a_side.unit_element()
-        return TensorElement.of_pair(unit_a, b)
+    @cached_property
+    def _units(self) -> tuple:
+        """The units of A and B, built once per double."""
+        return self.pairing.a_side.unit_element(), self.pairing.b_side.unit_element()
 
     def dbar(self, s, i, r, j) -> TensorElement:
         """The coproduct of a basis vector, a tensor over the view on both legs.
@@ -908,6 +915,17 @@ class DoubleStructure:
         if key not in self._dbar_cache:
             self._dbar_cache[key] = self._leg_products(s, i, r, j, b_first=False)
         return self._dbar_cache[key]
+
+    def _embedded_product(self, s, k, r, m, b_first: bool) -> GradedElement:
+        """The double product of the embedded basis vectors a_(s,k) and b_(r,m),
+        B first when ``b_first``, in view coordinates; memoized."""
+        key = (s, k, r, m, b_first)
+        if key not in self._leg_cache:
+            unit_a, unit_b = self._units
+            ea = TensorElement.of_pair(self.pairing.a_side.algebra.basis_element(s, k), unit_b)
+            eb = TensorElement.of_pair(unit_a, self.pairing.b_side.algebra.basis_element(r, m))
+            self._leg_cache[key] = self.view_coords(self.dmul(eb, ea) if b_first else self.dmul(ea, eb))
+        return self._leg_cache[key]
 
     def _leg_products(self, s, i, r, j, b_first: bool) -> TensorElement:
         """Sum over the co-opposite A legs and the deformed B legs of the basis
@@ -921,11 +939,6 @@ class DoubleStructure:
             self.deformed_delta = DeformedBlockDelta(bside.delta, self.action)
         acop = aside.delta.block_cols(s, s)[i]
         da = aside.algebra.dim(s)
-
-        def product(a, b):
-            ea, eb = self.embed_a(a), self.embed_b(b)
-            return self.dmul(eb, ea) if b_first else self.dmul(ea, eb)
-
         view = self.mha.algebra
         out = TensorElement(view, view)
         for q2 in self.twist.scan:
@@ -939,31 +952,9 @@ class DoubleStructure:
                 for aidx, ca in acop.items():
                     k1, k2 = divmod(aidx, da)
                     # co-opposite: the second A leg goes with the first B leg
-                    left = product(aside.algebra.basis_element(s, k2),
-                                   bside.algebra.basis_element(p2, m1))
-                    right = product(aside.algebra.basis_element(s, k1),
-                                    bside.algebra.basis_element(q2, m2))
-                    out.accumulate_outer(self.view_coords(left), self.view_coords(right), ca * cb)
+                    out.accumulate_outer(self._embedded_product(s, k2, p2, m1, b_first),
+                                         self._embedded_product(s, k1, q2, m2, b_first), ca * cb)
         return out
-
-    def sbar_tensor(self, s, i, r, j) -> TensorElement:
-        """The antipode on a basis vector: R((pi S)(b) (x) S^-1(a)), memoized."""
-        key = (s, i, r, j)
-        if key not in self._sbar_cache:
-            g = self.pairing.group
-            bside = self.pairing.b_side
-            aside = self.pairing.a_side
-            b = bside.algebra.basis_element(r, j)
-            sb = bside.antipode.apply(b)
-            sb = self.action.component_map(g.invert(r)).apply(sb)
-            sa_inv = self._a_antipode_inverse.apply(aside.algebra.basis_element(s, i))
-            self._sbar_cache[key] = self.twist.r(TensorElement.of_pair(sb, sa_inv))
-        return self._sbar_cache[key]
-
-    @cached_property
-    def _a_antipode_inverse(self) -> ComponentMap:
-        """The inverse of the A antipode on the twist's scan, built once per double."""
-        return self.pairing.a_side.antipode.inverse_on(self.twist.scan)
 
     def star_tensor(self, s, i, r, j) -> TensorElement:
         """The involution on a basis vector: R(b* (x) a*), memoized."""
@@ -1045,75 +1036,79 @@ def build_double(pairing: Pairing, action: Action) -> DoubleStructure:
         label=label,
     )
     has_star = aside.star is not None and bside.star is not None
-    components: dict = {}
-
-    def dense(row: dict, n: int) -> list:
-        return [row.get(k, ZERO) for k in range(n)]
-
-    def component(p):
-        if p not in components:
-            basis = comp_basis[p]
-            dim = len(basis)
-            products = {}
-            for x, key1 in enumerate(basis):
-                for y, key2 in enumerate(basis):
-                    entry = d.view_row(d._basis_product(key1 + key2), p)
-                    if entry:
-                        products[(x, y)] = entry
-            # the unit of component p is the part of 1 (x) 1 that lies in it
-            unit = d.view_coords(TensorElement.of_pair(aside.unit_element(), bside.unit_element()))
-            star = None
-            if has_star:
-                star = Matrix.from_columns(
-                    [dense(d.view_row(d.star_tensor(*key), p), dim) for key in basis])
-            components[p] = ComponentAlgebra(
-                dim, products, unit=dense(unit.comps.get(p, {}), dim), star=star)
-        return components[p]
-
-    view_alg = GradedAlgebra(
-        group=view_group,
-        mode=COGRADED,
-        component_fn=component,
-        label=label,
-    )
-
-    def delta_cols(P, Q):
-        # block (P, Q) of the coproduct of each basis vector of the source
-        dq = len(comp_basis[Q])
-        return [
-            {k1 * dq + k2: c for (k1, k2), c in d.dbar(*key).blocks.get((P, Q), {}).items()}
-            for key in comp_basis[view_group.multiply(P, Q)]
-        ]
-
-    def counit_fn(P):
-        return tuple(aside.counit_covector(s)[i] * bside.counit_covector(r)[j]
-                     for (s, i, r, j) in comp_basis[P])
-
-    def antipode_fn(P):
-        target = view_group.invert(P)
-        dim = len(comp_basis[target])
-        return target, Matrix.from_columns(
-            [dense(d.view_row(d.sbar_tensor(*key), target), dim) for key in comp_basis[P]])
-
-    def star_fn(P):
-        return P, component(P).star
-
     if has_star:
         d.star_witness = _star_involution_witness(d)
         if d.star_witness is not None:
             raise ValueError("star involution condition fails at %s" % d.star_witness)
 
-    view = MhaStructure(
+    def dense(row: dict, n: int) -> list:
+        return [row.get(k, ZERO) for k in range(n)]
+
+    position = d.position
+
+    def view_row(t: TensorElement, P) -> dict:
+        """The sparse row of an A (x) B tensor that lies in view component P."""
+        row = {}
+        for s, r, i, j, c in t.terms():
+            Q, k = position[(s, i, r, j)]
+            if Q != P:
+                raise ValueError("tensor leaves the view component %s" % view_group.encode(P))
+            row[k] = c  # distinct terms have distinct positions
+        return row
+
+    # the view holds tables and the twist, never d, so a double is freed when
+    # its last reference goes. The antipode stays lazy: S-bar applies the
+    # action's component maps to elements of B, and a double built with an
+    # action over an equal copy of B works as long as no one asks for it
+    def antipode_fn(P):
+        target = view_group.invert(P)
+        dim = len(comp_basis[target])
+        return target, Matrix.from_columns(
+            [dense(view_row(twist.sbar_tensor(*key), target), dim) for key in comp_basis[P]])
+
+    components: dict = {}
+    blocks: dict = {}
+    view_alg = GradedAlgebra(
+        group=view_group,
+        mode=COGRADED,
+        component_fn=components.__getitem__,
+        label=label,
+    )
+    d.mha = MhaStructure(
         algebra=view_alg,
-        delta=CogradedBlockDelta(view_alg, delta_cols),
-        counit_fn=counit_fn,
+        delta=CogradedBlockDelta(view_alg, lambda P, Q: blocks[(P, Q)]),
+        counit_fn=lambda P: tuple(aside.counit_covector(s)[i] * bside.counit_covector(r)[j]
+                                  for (s, i, r, j) in comp_basis[P]),
         antipode=ComponentMap(view_alg, view_alg, antipode_fn, label="Sbar"),
-        star=ComponentMap(view_alg, view_alg, star_fn, antilinear=True, label="*")
+        star=ComponentMap(view_alg, view_alg, lambda P: (P, components[P].star),
+                          antilinear=True, label="*")
         if has_star
         else None,
         label=label,
     )
-    d.mha = view
+
+    # the unit of component p is the part of 1 (x) 1 that lies in it
+    unit = d.view_coords(TensorElement.of_pair(*d._units)).comps
+    for p, basis in comp_basis.items():
+        dim = len(basis)
+        products = {}
+        for x, key1 in enumerate(basis):
+            for y, key2 in enumerate(basis):
+                entry = view_row(d._basis_product(key1 + key2), p)
+                if entry:
+                    products[(x, y)] = entry
+        star = None
+        if has_star:
+            star = Matrix.from_columns(
+                [dense(view_row(d.star_tensor(*key), p), dim) for key in basis])
+        components[p] = ComponentAlgebra(dim, products, unit=dense(unit.get(p, {}), dim), star=star)
+    for P, Q in product(comp_basis, repeat=2):
+        # block (P, Q) of the coproduct of each basis vector of the source
+        dq = len(comp_basis[Q])
+        blocks[(P, Q)] = [
+            {k1 * dq + k2: c for (k1, k2), c in d.dbar(*key).blocks.get((P, Q), {}).items()}
+            for key in comp_basis[view_group.multiply(P, Q)]
+        ]
     return d
 
 
@@ -1208,7 +1203,7 @@ def check_double_axioms(d: DoubleStructure) -> CertificateReport:
 
     witness = None
     for (s, i), (r, j) in product(d.a_basis, d.b_basis):
-        direct = d.view_coords(d.sbar_tensor(s, i, r, j))
+        direct = d.view_coords(d.twist.sbar_tensor(s, i, r, j))
         x = d.view_coords(d.basis_tensor(s, i, r, j))
         if direct != d.mha.antipode.apply(x):
             witness = "(%s,%d|%s,%d)" % (g.encode(s), i, g.encode(r), j)
@@ -1328,8 +1323,10 @@ def double_crossing(d: DoubleStructure) -> Action:
     """The crossing of the double: the transposed action on A against the action on B."""
     if not d.crossing:
         raise ValueError("the underlying action is not a crossing")
-    g = d.pairing.group
-    aside, bside = d.pairing.a_side, d.pairing.b_side
+    # the closures hold the double's data, never d itself
+    pairing, action, comp_basis, position = d.pairing, d.action, d.comp_basis, d.position
+    g = pairing.group
+    aside, bside = pairing.a_side, pairing.b_side
 
     prime_cache: dict = {}
 
@@ -1338,9 +1335,9 @@ def double_crossing(d: DoubleStructure) -> Action:
         key = (p, s)
         if key not in prime_cache:
             t = g.multiply(g.multiply(p, s), g.invert(p))
-            f_s = d.pairing.form(s)
-            f_t = d.pairing.form(t)
-            pm = d.action.block(g.invert(p), t)  # B_t -> B_s
+            f_s = pairing.form(s)
+            f_t = pairing.form(t)
+            pm = action.block(g.invert(p), t)  # B_t -> B_s
             m = inverse(f_t.transpose()).matmul(pm.transpose()).matmul(f_s.transpose())
             for i in range(aside.algebra.dim(s)):
                 for jj in range(bside.algebra.dim(t)):
@@ -1359,13 +1356,11 @@ def double_crossing(d: DoubleStructure) -> Action:
             prime_cache[key] = m
         return prime_cache[key]
 
-    view = d.mha
-
     def block(p, Q):
-        basis_q = d.comp_basis[Q]
+        basis_q = comp_basis[Q]
         target = g.multiply(g.multiply(p, Q), g.invert(p))
-        pm = d.action.block(p, g.invert(Q))  # B_{Q^-1} -> B_{(pQp^-1)^-1}
-        rows = [[ZERO] * len(basis_q) for _ in d.comp_basis[target]]
+        pm = action.block(p, g.invert(Q))  # B_{Q^-1} -> B_{(pQp^-1)^-1}
+        rows = [[ZERO] * len(basis_q) for _ in comp_basis[target]]
         for col, (s, i, rq, j) in enumerate(basis_q):
             ap = a_prime(p, s)
             s_target = g.multiply(g.multiply(p, s), g.invert(p))
@@ -1376,15 +1371,15 @@ def double_crossing(d: DoubleStructure) -> Action:
                 for l in range(pm.rows):
                     cb = pm.entries[l][j]
                     if cb:
-                        _, row = d.position[(s_target, k, g.invert(target), l)]
+                        _, row = position[(s_target, k, g.invert(target), l)]
                         rows[row][col] = ca * cb
         return Matrix.from_rows(rows)
 
     from .groups import adjoint_self_action
 
     return Action(
-        base=view,
-        rho=adjoint_self_action(view.group),
+        base=d.mha,
+        rho=adjoint_self_action(d.mha.group),
         pi_fn=block,
         label="double-crossing(%s)" % d.label,
     )

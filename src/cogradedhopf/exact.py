@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 Rationalish = Union[int, Fraction]
 
 
-def _fraction_str(x: Fraction) -> str:
+def _fraction_str(x: Rationalish) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
@@ -27,18 +27,20 @@ def _fraction_str(x: Fraction) -> str:
 class GaussianRational:
     """An element a + b*i of Q(i), both parts arbitrary-precision rationals.
 
-    Fraction keeps numerator/denominator reduced with positive denominator,
-    so instances are canonical and ``==`` is structural.
+    Each part is an ``int`` when it is integral and a reduced ``Fraction``
+    otherwise, never a ``Fraction`` with denominator 1, so instances are
+    canonical and ``==`` is structural. Most coefficients the checkers meet
+    are small integers, and int arithmetic is several times cheaper.
     """
 
-    re: Fraction
-    im: Fraction
+    re: Rationalish
+    im: Rationalish
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set_re(self, _part(re))
+        _set_im(self, _part(im))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -58,12 +60,17 @@ class GaussianRational:
             return GaussianRational(x)
         return None
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # fast constructor for arithmetic: arguments are already Fractions
-        out = object.__new__(cls)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
+    @staticmethod
+    def _raw(re: Rationalish, im: Rationalish) -> "GaussianRational":
+        # fast constructor for arithmetic: each part is an int or a Fraction,
+        # and a Fraction that turned out integral becomes its numerator
+        if type(re) is not int and re.denominator == 1:
+            re = re.numerator
+        if type(im) is not int and im.denominator == 1:
+            im = im.numerator
+        out = _new(GaussianRational)
+        _set_re(out, re)
+        _set_im(out, im)
         return out
 
     def __add__(self, other):
@@ -115,19 +122,20 @@ class GaussianRational:
         return o * self.inverse()
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.re != 0 or self.im != 0
 
     def is_zero(self) -> bool:
         return not self
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._raw(self.re, -self.im)
 
     def inverse(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        # through Fraction: int / int would be a float
+        return GaussianRational._raw(Fraction(self.re, n), Fraction(-self.im, n))
 
     # -- text form ----------------------------------------------------------
 
@@ -171,6 +179,20 @@ class GaussianRational:
         else:
             imag = Fraction(body)
         return GaussianRational(real, imag)
+
+
+_new = object.__new__
+# the slot setters write past the frozen dataclass's __setattr__
+_set_re = GaussianRational.__dict__["re"].__set__
+_set_im = GaussianRational.__dict__["im"].__set__
+
+
+def _part(x) -> Rationalish:
+    """The canonical form of one part: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 GR = GaussianRational

@@ -1043,12 +1043,13 @@ def make_kg(g: GroupOracle) -> MhaStructure:
 def make_group_algebra(g: GroupOracle) -> MhaStructure:
     """The group algebra as a graded Hopf side: A_p = span{u_p}, u_p u_q = u_{pq}."""
     shared = ComponentAlgebra(1)
+    table = {(0, 0): {0: ONE}}  # u_p u_q = u_pq, one table for every block
     one = Matrix.from_rows([[1]])
     algebra = GradedAlgebra(
         group=g,
         mode=GRADED,
         component_fn=lambda p: shared,
-        block_fn=lambda p, q: {(0, 0): {0: ONE}},
+        block_fn=lambda p, q: table,
         unit_components={g.identity: (ONE,)},
         label="group-algebra-%s" % g.name,
     )

@@ -2,11 +2,18 @@
 
 These deliberately avoid the library's twist machinery: products are expanded
 from raw comultiplication slices so that the construction under test is
-checked against a second, dumber computation.
+checked against a second, dumber computation. The Fraction-pair scalar is the
+slow Q(i) arithmetic the int-backed scalar replaced.
 """
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Union
 
 from cogradedhopf.algebras import TensorElement
 from cogradedhopf.double import act_a_on_a, act_b_on_a
+
+Rationalish = Union[int, Fraction]
 
 
 def untwisted_double_product(pairing, quadruple):
@@ -54,3 +61,160 @@ def untwisted_double_product(pairing, quadruple):
                                     for jj, cb in bvv.items():
                                         out.add_term(spp, rpp, ii, jj, c * c2 * ca * cb)
     return out
+
+
+def _fraction_str(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+@dataclass(frozen=True)
+class FractionGaussianRational:
+    """The Fraction-pair scalar: Q(i) with both parts always ``Fraction``.
+
+    The reference the int-backed :class:`cogradedhopf.exact.GaussianRational`
+    is tested against. Fraction keeps numerator/denominator reduced with
+    positive denominator, so instances are canonical and ``==`` is structural.
+    """
+
+    re: Fraction
+    im: Fraction
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    # -- arithmetic ---------------------------------------------------------
+
+    @staticmethod
+    def _coerce(x) -> "FractionGaussianRational":
+        if isinstance(x, FractionGaussianRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionGaussianRational(x)
+        raise TypeError("cannot interpret %r as a Gaussian rational" % (x,))
+
+    @staticmethod
+    def _try_coerce(x):
+        if isinstance(x, FractionGaussianRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionGaussianRational(x)
+        return None
+
+    @classmethod
+    def _raw(cls, re: Fraction, im: Fraction) -> "FractionGaussianRational":
+        # fast constructor for arithmetic: arguments are already Fractions
+        out = object.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", im)
+        return out
+
+    def __add__(self, other):
+        o = self._try_coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionGaussianRational._raw(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._try_coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionGaussianRational._raw(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._try_coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__sub__(self)
+
+    def __neg__(self):
+        return FractionGaussianRational._raw(-self.re, -self.im)
+
+    def __mul__(self, other):
+        o = self._try_coerce(other)
+        if o is None:
+            return NotImplemented
+        sim, oim = self.im, o.im
+        if not sim and not oim:  # the dominant, purely real case
+            return FractionGaussianRational._raw(self.re * o.re, sim)
+        return FractionGaussianRational._raw(
+            self.re * o.re - sim * oim, self.re * oim + sim * o.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._try_coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._try_coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def conj(self) -> "FractionGaussianRational":
+        return FractionGaussianRational(self.re, -self.im)
+
+    def inverse(self) -> "FractionGaussianRational":
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return FractionGaussianRational(self.re / n, -self.im / n)
+
+    # -- text form ----------------------------------------------------------
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return _fraction_str(self.re)
+        imag = _fraction_str(abs(self.im)) + "*i"
+        if self.re == 0:
+            return imag if self.im > 0 else "-" + imag
+        sign = "+" if self.im > 0 else "-"
+        return _fraction_str(self.re) + sign + imag
+
+    def __repr__(self) -> str:
+        return "FractionGaussianRational(%r, %r)" % (str(self.re), str(self.im))
+
+    @staticmethod
+    def parse(text: str) -> "FractionGaussianRational":
+        """Parse the canonical forms "a/b", "c/d*i", "a/b+c/d*i" (also bare "i")."""
+        s = text.replace(" ", "")
+        if not s:
+            raise ValueError("empty scalar")
+        if not s.endswith("i"):
+            return FractionGaussianRational(Fraction(s))
+        body = s[:-1]
+        if body.endswith("*"):
+            body = body[:-1]
+        # split off a leading real part, if any
+        split = -1
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "+-/*":
+                split = k
+                break
+        real = Fraction(0)
+        if split > 0:
+            real = Fraction(body[:split])
+            body = body[split:]
+        if body in ("", "+"):
+            imag = Fraction(1)
+        elif body == "-":
+            imag = Fraction(-1)
+        else:
+            imag = Fraction(body)
+        return FractionGaussianRational(real, imag)

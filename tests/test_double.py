@@ -1,5 +1,9 @@
 """Tests for pairings, module actions, twist maps, doubles and reduced duals."""
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 from cogradedhopf.algebras import TensorElement
@@ -256,6 +260,51 @@ def test_double_images_are_computed_once_per_basis_tensor(monkeypatch):
     assert rep.passed, rep.text()
     assert len(d.a_basis) * len(d.b_basis) == 36
     assert counts == {"star": 36, "sbar": 36, "involution": 1}
+
+
+def test_embedded_leg_products_are_computed_once_per_double(monkeypatch):
+    # the coproduct and the reversed multiplier product meet the same embedded
+    # legs many times; each (A basis, B basis, order) takes one dmul
+    from cogradedhopf.double import DoubleStructure
+
+    pairing = make_group_function_pairing(s3_group())
+    calls = Counter()
+    dmul = DoubleStructure.dmul
+
+    def count_dmul(self, t1, t2):
+        calls[(tuple(t1.terms()), tuple(t2.terms()))] += 1
+        return dmul(self, t1, t2)
+
+    monkeypatch.setattr(DoubleStructure, "dmul", count_dmul)
+    d = build_double(pairing, adjoint_shuffle_action(pairing.b_side))
+    assert check_double_axioms(d).passed
+    assert calls and max(calls.values()) == 1
+    assert sum(calls.values()) <= 2 * len(d.a_basis) * len(d.b_basis)
+
+
+def test_double_is_freed_without_the_cyclic_collector():
+    # the view and the crossing hold the double's tables, not the double, so
+    # reference counting alone frees it once its last reference goes
+    pairing = make_group_function_pairing(s3_group())
+    act = adjoint_shuffle_action(pairing.b_side)
+    w = wfull(pairing)
+    phi_a = solve_left_integral(pairing.a_side, w).functional
+    psi_b = solve_right_integral(pairing.b_side, w).functional
+    gc.collect()
+    gc.disable()
+    try:
+        d = build_double(pairing, act)
+        assert check_double_axioms(d).passed
+        crossing = double_crossing(d)
+        assert check_crossing(crossing, Window.full(d.mha.group)).passed
+        assert double_right_integral(d, phi_a, psi_b).report.passed
+        ref = weakref.ref(d)
+        del d, crossing
+        assert ref() is None
+    finally:
+        gc.enable()
+    # the view is whole on its own, when the double is not kept
+    assert full_suite(build_double(pairing, act).mha, w).passed
 
 
 @pytest.mark.parametrize("make_action", [trivial_action, adjoint_shuffle_action])

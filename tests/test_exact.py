@@ -1,5 +1,6 @@
 """Tests for the exact Q(i) scalar and linear algebra kernel."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import FractionGaussianRational
 from cogradedhopf.exact import (
     GR,
     I,
@@ -28,33 +30,112 @@ small_fractions = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=7
 )
 gr_strategy = st.builds(GR, small_fractions, small_fractions)
+oracle_strategy = st.builds(FractionGaussianRational, small_fractions, small_fractions)
+
+
+def _canonical(x) -> bool:
+    """Each part is an int, or a Fraction that is not integral."""
+    return all(type(part) is int or (type(part) is Fraction and part.denominator != 1)
+               for part in (x.re, x.im))
 
 
 # -- scalars ----------------------------------------------------------------
 
 
-@given(gr_strategy, gr_strategy, gr_strategy)
-@settings(max_examples=200)
-def test_field_axioms_on_sampled_triples(x, y, z):
+def _field_axioms(x, y, z, one):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
     if x:
-        assert x * x.inverse() == ONE
+        assert x * x.inverse() == one
+
+
+def _conjugation_laws(x, y):
+    assert x.conj().conj() == x
+    assert (x * y).conj() == y.conj() * x.conj()
+
+
+@given(gr_strategy, gr_strategy, gr_strategy)
+@settings(max_examples=200)
+def test_field_axioms_on_sampled_triples(x, y, z):
+    _field_axioms(x, y, z, ONE)
+
+
+@given(oracle_strategy, oracle_strategy, oracle_strategy)
+@settings(max_examples=200)
+def test_field_axioms_hold_for_the_fraction_pair_oracle(x, y, z):
+    _field_axioms(x, y, z, FractionGaussianRational(1))
 
 
 @given(gr_strategy, gr_strategy)
 @settings(max_examples=200)
 def test_conjugation_laws(x, y):
-    assert x.conj().conj() == x
-    assert (x * y).conj() == y.conj() * x.conj()
+    _conjugation_laws(x, y)
+
+
+@given(oracle_strategy, oracle_strategy)
+@settings(max_examples=200)
+def test_conjugation_laws_hold_for_the_fraction_pair_oracle(x, y):
+    _conjugation_laws(x, y)
+
+
+# small integers, the values the checkers meet most, beside general rationals
+mixed_parts = st.one_of(st.integers(-3, 3), small_fractions)
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+scalar_ops = st.sampled_from(sorted(BINARY) + ["conj", "inverse"])
+
+
+@given(mixed_parts, mixed_parts,
+       st.lists(st.tuples(scalar_ops, mixed_parts, mixed_parts), max_size=12))
+@settings(max_examples=300)
+def test_operation_sequences_match_the_fraction_pair_oracle(re, im, steps):
+    fast, slow = GR(re, im), FractionGaussianRational(re, im)
+    for op, a, b in steps:
+        if op in BINARY:
+            # a bare int operand goes through coercion on both classes
+            y_fast, y_slow = (a, a) if type(a) is int and b == 0 else (
+                GR(a, b), FractionGaussianRational(a, b))
+            if op == "/" and not y_slow:
+                continue  # division by zero raises; tested below
+            fast, slow = BINARY[op](fast, y_fast), BINARY[op](slow, y_slow)
+        elif op == "inverse" and not slow:
+            continue
+        else:
+            fast, slow = getattr(fast, op)(), getattr(slow, op)()
+        assert str(fast) == str(slow)
+        assert _canonical(fast), repr(fast)
 
 
 def test_canonical_form_is_structural_equality():
     assert GR(Fraction(2, 4)) == GR(Fraction(1, 2))
     assert hash(GR(3)) == hash(GR(Fraction(6, 2)))
     assert GR(1, -1) != GR(1, 1)
+    three = [GR(3), GR(Fraction(6, 2)), GR.parse("6/2"), GR._coerce(Fraction(6, 2))]
+    assert len(set(three)) == 1 and all(x == GR(3) for x in three)
+    assert {hash(x) for x in three} == {hash(GR(3))}
+    for x in three + [GR(True), GR._coerce(True), GR.parse("6/2*i")]:
+        assert _canonical(x) and type(x.re) is int, repr(x)
+    assert GR(True) == ONE and GR.parse("6/2*i") == GR(0, 3)
+
+
+def test_integral_results_are_stored_as_ints():
+    half = GR(Fraction(1, 2), Fraction(-1, 2))
+    assert half + half == GR(1, -1) and type((half + half).re) is int
+    assert (GR(Fraction(2, 3)) * GR(Fraction(3, 2))).re == 1
+    for x in (half, half * half, half - half, -half, half.conj(), half.inverse(), ONE / GR(3),
+              GR.parse("1/2+3/4*i"), GR(Fraction(4, 2), Fraction(1, 3))):
+        assert _canonical(x), repr(x)
+
+
+def test_inverse_divides_exactly():
+    # int parts: a plain "/" would give floats
+    assert GR(2).inverse() == GR(Fraction(1, 2))
+    assert GR(1, 1).inverse() == GR(Fraction(1, 2), Fraction(-1, 2))
+    assert GR(0, 2).inverse() == GR(0, Fraction(-1, 2))
+    assert ONE / GR(3) * GR(3) == ONE
+    for x in (GR(2).inverse(), GR(1, 1).inverse(), GR(3) / GR(4)):
+        assert type(x.re) is Fraction and _canonical(x)
 
 
 @pytest.mark.parametrize(
@@ -263,6 +344,15 @@ def test_hermitian_psd_agrees_with_char_poly_oracle():
         assert hermitian_psd(herm) == _psd_by_char_poly(herm)
         checked += 1
     assert checked == 120
+
+
+def test_hermitian_psd_integer_matrix_with_fraction_pivots():
+    # pivots 2, 3/2, 4/3: positive definite, the tridiagonal [2 -1; -1 2 -1; -1 2]
+    m = Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert hermitian_psd(m) and _psd_by_char_poly(m)
+    # pivots 2, then 1/2 - 1 = -1/2: indefinite
+    m = Matrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 1, 1]])
+    assert not hermitian_psd(m) and not _psd_by_char_poly(m)
 
 
 def test_psd_zero_diagonal_with_offdiagonal_is_refused():
