@@ -27,6 +27,8 @@ from .hopf import (
     ComponentMap,
     GradedFunctional,
     MhaStructure,
+    _Law,
+    _law_witnesses,
     check_t1_t2,
 )
 from .report import CertificateReport
@@ -45,37 +47,37 @@ class Action:
     _certified: dict = field(default_factory=dict, repr=False)
 
     def block(self, p, q) -> Matrix:
-        key = (p, q)
-        if key not in self._cache:
-            m = self.pi_fn(p, q)
-            alg = self.base.algebra
-            target = self.rho.apply(p, q)
-            if m.rows != alg.dim(target) or m.cols != alg.dim(q):
-                raise ValueError(
-                    "action block (%s, %s) has shape %dx%d, expected %dx%d"
-                    % (
-                        self.base.group.encode(p),
-                        self.base.group.encode(q),
-                        m.rows,
-                        m.cols,
-                        alg.dim(target),
-                        alg.dim(q),
-                    )
-                )
-            self._cache[key] = m
-        return self._cache[key]
+        return _action_block(self.base, self.rho, self.pi_fn, self._cache, p, q)
 
     def component_map(self, p) -> ComponentMap:
         if p not in self._maps:
-            alg = self.base.algebra
+            # close over the parts, never the action, so that reference counting frees it
+            base, rho, pi_fn, cache = self.base, self.rho, self.pi_fn, self._cache
             self._maps[p] = ComponentMap(
-                alg, alg, lambda q: (self.rho.apply(p, q), self.block(p, q)),
-                label="pi_%s" % self.base.group.encode(p),
+                base.algebra, base.algebra,
+                lambda q: (rho.apply(p, q), _action_block(base, rho, pi_fn, cache, p, q)),
+                label="pi_%s" % base.group.encode(p),
             )
         return self._maps[p]
 
     def apply(self, p, x: GradedElement) -> GradedElement:
         return self.component_map(p).apply(x)
+
+
+def _action_block(base: MhaStructure, rho: GroupSelfAction, pi_fn: Callable, cache: dict, p, q) -> Matrix:
+    """The memoized block of pi_p on B_q, checked against its component dimensions."""
+    key = (p, q)
+    if key not in cache:
+        m = pi_fn(p, q)
+        alg = base.algebra
+        target = rho.apply(p, q)
+        if m.rows != alg.dim(target) or m.cols != alg.dim(q):
+            raise ValueError(
+                "action block (%s, %s) has shape %dx%d, expected %dx%d"
+                % (base.group.encode(p), base.group.encode(q), m.rows, m.cols, alg.dim(target), alg.dim(q))
+            )
+        cache[key] = m
+    return cache[key]
 
 
 def trivial_action(b: MhaStructure) -> Action:
@@ -202,8 +204,9 @@ def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate
     for p in window.elements:
         pmap = action.component_map(p)
         images = {(q, i): pmap.apply(x) for q, i, x in basis}
-        bad = next((basis_label(g, (q, i), (r, j)) for (q, i, x), (r, j, y) in alg.basis_pairs(window)
-                    if pmap.apply(x * y) != images[q, i] * images[r, j]), None)
+        bad, = _law_witnesses(b, window, [_Law(
+            lambda xt, yt: pmap.apply(xt[2] * yt[2]) != images[xt[:2]] * images[yt[:2]],
+            apart=lambda q, r: action.rho.apply(p, q) != action.rho.apply(p, r))])
         if bad is not None:
             witness = "pi_%s not multiplicative at %s" % (g.encode(p), bad)
             break

@@ -993,6 +993,9 @@ def build_double(pairing: Pairing, action: Action) -> DoubleStructure:
     g = pairing.group
     if not g.is_finite:
         raise ValueError("the double needs a finite group")
+    if action.base.algebra is not pairing.b_side.algebra:
+        raise ValueError("action %s acts on %s, not on the pairing's B side %s"
+                         % (action.label, action.base.label, pairing.b_side.label))
     window = Window.full(g)
     cert = action._certified.get(window.label) or check_admissible(action, window)
     if not cert.passed:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence, Union
 
 Rationalish = Union[int, Fraction]
@@ -255,7 +256,9 @@ class Matrix:
         return Matrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
 
     @staticmethod
+    @cache
     def identity(n: int) -> "Matrix":
+        """The n x n identity: one shared immutable matrix per size, sparse memos included."""
         return Matrix(
             n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
         )

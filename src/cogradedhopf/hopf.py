@@ -16,7 +16,8 @@ multiplier, modular automorphism, faithfulness, positivity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from itertools import product
+from typing import Callable, Dict, NamedTuple, Optional
 
 from .algebras import (
     COGRADED,
@@ -212,6 +213,7 @@ class MhaStructure:
     label: str = ""
     _counit_cache: dict = field(default_factory=dict, repr=False)
     _t1_t2_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cut_units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group(self) -> GroupOracle:
@@ -293,6 +295,24 @@ class MhaStructure:
     def unit_element(self) -> Optional[GradedElement]:
         return self.algebra.unit_element()
 
+    def cut_unit(self, p, star: bool = False) -> Optional[GradedElement]:
+        """1_p, built from the component's unit vector, when the cut laws may be
+        tested against it: B_p is associative and 1_p is a two-sided unit; with
+        ``star``, the star also maps B_p to itself as an involutive,
+        anti-multiplicative antilinear map. None otherwise; decided once per p.
+        """
+        key = (p, star)
+        if key not in self._cut_units:
+            comp = self.algebra.component(p)
+            if star:
+                s = self.star
+                ok = (self.cut_unit(p) is not None and s.antilinear and s.target(p) == p
+                      and ComponentAlgebra(comp.dim, comp.products, star=s.matrix(p)).star_witness() is None)
+            else:
+                ok = comp.unit_witness() is None and comp.associativity_witness() is None
+            self._cut_units[key] = self.algebra.element({p: comp.unit}) if ok else None
+        return self._cut_units[key]
+
     def apply_star(self, x: GradedElement) -> GradedElement:
         if self.star is None:
             raise ValueError("structure has no star")
@@ -367,29 +387,23 @@ def _t1_t2_report(h: MhaStructure, window: Window) -> CertificateReport:
         title="canonical map bijectivity (%s)" % h.label, window=window.label,
         subject_digest=h.label,
     )
+    # one delta part per (source basis vector, component), then one leg product per column
     for p, q in window.pairs():
         tag = "(%s,%s)" % (g.encode(p), g.encode(q))
         if h.delta.diagonal:
             # T1 on A_p (x) A_q -> A_p (x) A_{pq}; T2 on A_p (x) A_q -> A_{pq} (x) A_q
             t_target = g.multiply(p, q)
             dp, dq, dt = alg.dim(p), alg.dim(q), alg.dim(t_target)
-            cols = []
-            for i in range(dp):
-                x = alg.basis_element(p, i)
-                for j in range(dq):
-                    y = alg.basis_element(q, j)
-                    t = h.coproduct_right_cut(x, y)
-                    cols.append(_flatten_tensor_block(t, p, t_target, dt))
+            xs, ys = alg._basis_of(p), alg._basis_of(q)
+            parts = [h.delta_part_by_second(x, (q,)) for _, _, x in xs]
+            cols = [_flatten_tensor_block(part.mul_leg2_right(y), p, t_target, dt)
+                    for part in parts for _, _, y in ys]
             ok = dp * dq == dp * dt and rank_of_sparse_columns(cols, dp * dt) == dp * dq
             rep.add("T1-block@%s" % tag, "bijectivity of a(x)b -> Delta(a)(1(x)b)", ok,
                     None if ok else "block is not bijective")
-            cols = []
-            for i in range(dp):
-                x = alg.basis_element(p, i)
-                for j in range(dq):
-                    y = alg.basis_element(q, j)
-                    t = h.coproduct_left_cut(x, y)
-                    cols.append(_flatten_tensor_block(t, t_target, q, dq))
+            parts = [h.delta_part_by_first(y, (p,)) for _, _, y in ys]
+            cols = [_flatten_tensor_block(part.mul_leg1_left(x), t_target, q, dq)
+                    for _, _, x in xs for part in parts]
             ok = dp * dq == dt * dq and rank_of_sparse_columns(cols, dt * dq) == dp * dq
             rep.add("T2-block@%s" % tag, "bijectivity of a(x)b -> (a(x)1)Delta(b)", ok,
                     None if ok else "block is not bijective")
@@ -397,32 +411,28 @@ def _t1_t2_report(h: MhaStructure, window: Window) -> CertificateReport:
             src = h.delta.source(p, q)
             block_cols = h.delta.block_cols(p, q)
             dp, dq, ds = alg.dim(p), alg.dim(q), alg.dim(src)
-            # T1: B_src (x) B_q -> B_p (x) B_q
-            cols = []
-            for i in range(ds):
-                x = alg.basis_element(src, i)
-                for j in range(dq):
-                    y = alg.basis_element(q, j)
-                    if block_cols is None:
-                        cols.append({})
-                        continue
-                    t = h.coproduct_right_cut(x, y)
-                    cols.append(_flatten_tensor_block(t, p, q, dq))
+            xs, ys = alg._basis_of(p), alg._basis_of(q)
+            if block_cols is None:
+                cols = [{}] * (ds * dq)
+            else:
+                # T1: B_src (x) B_q -> B_p (x) B_q
+                parts = [h.delta_part_by_second(x, (q,)) for _, _, x in alg._basis_of(src)]
+                cols = [_flatten_tensor_block(part.mul_leg2_right(y), p, q, dq)
+                        for part in parts for _, _, y in ys]
             ok = ds * dq == dp * dq and rank_of_sparse_columns(cols, dp * dq) == ds * dq
             rep.add("T1-block@%s" % tag, "bijectivity of a(x)b -> Delta(a)(1(x)b)", ok,
                     None if ok else "block from source %s is not bijective" % g.encode(src))
             # T2: B_p (x) B_src -> B_p (x) B_q
-            cols = []
-            for i in range(dp):
-                x = alg.basis_element(p, i)
-                for j in range(ds):
-                    if block_cols is None:
-                        cols.append({})
-                        continue
+            if block_cols is None:
+                cols = [{}] * (dp * ds)
+            else:
+                parts = []
+                for col in block_cols:
                     part = TensorElement(alg, alg)
-                    part.add_block(p, q, ((divmod(idx, dq), c) for idx, c in block_cols[j].items()))
-                    t = part.mul_leg1_left(x)
-                    cols.append(_flatten_tensor_block(t, p, q, dq))
+                    part.add_block(p, q, ((divmod(idx, dq), c) for idx, c in col.items()))
+                    parts.append(part)
+                cols = [_flatten_tensor_block(part.mul_leg1_left(x), p, q, dq)
+                        for _, _, x in xs for part in parts]
             ok = dp * ds == dp * dq and rank_of_sparse_columns(cols, dp * dq) == dp * ds
             rep.add("T2-block@%s" % tag, "bijectivity of a(x)b -> (a(x)1)Delta(b)", ok,
                     None if ok else "block from source %s is not bijective" % g.encode(src))
@@ -499,29 +509,69 @@ def check_coassociativity(h: MhaStructure, window: Window) -> CertificateReport:
     return rep
 
 
+class _Law(NamedTuple):
+    """One law on basis pairs: ``fails(xt, yt)`` decides a pair of (p, i, element)
+    triples, and a component unit enters as (p, None, 1_p)."""
+
+    fails: Callable
+    side: Optional[str] = None  # "right" or "left": the cut side a unit may stand for
+    apart: Optional[Callable] = None  # (r, q) -> both sides vanish on B_r x B_q, r != q
+    star: bool = False  # the unit reduction also needs the star premise
+
+
+def _law_witnesses(h: MhaStructure, window: Window, laws) -> list:
+    """The first failing basis pair of each law, in ``basis_pairs`` order.
+
+    In graded mode every basis pair is tested. In cograded mode, component
+    pairs r != q with ``apart(r, q)`` are skipped: the two images land in
+    different components. A cut law is B_q-linear in y, or B_r-linear in x
+    (Van Daele, Trans. AMS 342 (1994)), so where :meth:`MhaStructure.cut_unit`
+    certifies the component, side "right" tests each x in B_r against 1_q and
+    side "left" tests 1_r against each y in B_q: L(x, y) = L(x, 1_q) y. Such a
+    component pair fails exactly when one of its basis pairs fails, and it is
+    rescanned per basis pair to name the same first witness.
+    """
+    alg = h.algebra
+    cograded = alg.mode == COGRADED
+    wits = [None] * len(laws)
+    for r, q in window.pairs():
+        xs, ys = alg._basis_of(r), alg._basis_of(q)
+        for n, (fails, side, apart, star) in enumerate(laws):
+            if wits[n] is not None or cograded and r != q and apart is not None and apart(r, q):
+                continue
+            unit = h.cut_unit(q if side == "right" else r, star) if cograded and side else None
+            if unit is not None:
+                cuts = product(xs, [(q, None, unit)]) if side == "right" else product([(r, None, unit)], ys)
+                if not any(fails(x, y) for x, y in cuts):
+                    continue
+            wits[n] = next((basis_label(h.group, x[:2], y[:2]) for x, y in product(xs, ys) if fails(x, y)), None)
+    return wits
+
+
 def check_counit(h: MhaStructure, window: Window) -> CertificateReport:
     """Both counit identities on all window basis pairs, plus multiplicativity."""
     alg = h.algebra
-    g = h.group
     rep = CertificateReport(
         title="counit identities (%s)" % h.label, window=window.label, subject_digest=h.label
     )
-    wit_right = wit_left = wit_hom = None
-    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
-        xy = x * y
-        if wit_right is None:
-            t = h.coproduct_right_cut(x, y)
-            if t.apply_covector_leg1(h.counit_covector) != xy:
-                wit_right = basis_label(g, (r, i), (q, j))
-        if wit_left is None:
-            t = h.coproduct_left_cut(x, y)
-            if t.apply_covector_leg2(h.counit_covector) != xy:
-                wit_left = basis_label(g, (r, i), (q, j))
-        if wit_hom is None:
-            lhs = h.counit_value(xy)
-            rhs = h.counit_value(x) * h.counit_value(y)
-            if lhs != rhs:
-                wit_hom = basis_label(g, (r, i), (q, j))
+    eps = {(p, i): h.counit_value(x) for p, i, x in alg.basis_on(window)}
+
+    def right(xt, yt):
+        x, y = xt[2], yt[2]
+        return h.coproduct_right_cut(x, y).apply_covector_leg1(h.counit_covector) != x * y
+
+    def left(xt, yt):
+        x, y = xt[2], yt[2]
+        return h.coproduct_left_cut(x, y).apply_covector_leg2(h.counit_covector) != x * y
+
+    def hom(xt, yt):
+        (r, i, x), (q, j, y) = xt, yt
+        # cograded components multiply to zero off the diagonal
+        lhs = ZERO if r != q and alg.mode == COGRADED else h.counit_value(x * y)
+        return lhs != eps[r, i] * eps[q, j]
+
+    wit_right, wit_left, wit_hom = _law_witnesses(
+        h, window, [_Law(right, "right"), _Law(left, "left"), _Law(hom)])
     rep.add("counit-right", "(eps(x)id)(Delta(a)(1(x)b)) = ab", wit_right is None, wit_right)
     rep.add("counit-left", "(id(x)eps)((a(x)1)Delta(b)) = ab", wit_left is None, wit_left)
     rep.add("counit-homomorphism", "eps(ab) = eps(a)eps(b)", wit_hom is None, wit_hom)
@@ -536,28 +586,25 @@ def check_antipode(h: MhaStructure, window: Window) -> CertificateReport:
         title="antipode identities (%s)" % h.label, window=window.label, subject_digest=h.label
     )
     fam = h.antipode.fn
-    wit1 = wit2 = wit_anti = None
     basis = alg.basis_on(window)
     eps = {(p, i): h.counit_value(x) for p, i, x in basis}
     sa = {(p, i): h.antipode.apply(x) for p, i, x in basis}
-    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
-        if wit1 is None:
-            t = h.coproduct_right_cut(x, y).map_leg1(fam)
-            got = t.contract_product()
-            want = eps[r, i] * y
-            if got != want:
-                wit1 = basis_label(g, (r, i), (q, j))
-        if wit2 is None:
-            t = h.coproduct_left_cut(x, y).map_leg2(fam)
-            got = t.contract_product()
-            want = eps[q, j] * x
-            if got != want:
-                wit2 = basis_label(g, (r, i), (q, j))
-        if wit_anti is None:
-            lhs = h.antipode.apply(x * y)
-            rhs = sa[q, j] * sa[r, i]
-            if lhs != rhs:
-                wit_anti = basis_label(g, (r, i), (q, j))
+
+    def right(xt, yt):
+        (r, i, x), y = xt, yt[2]
+        return h.coproduct_right_cut(x, y).map_leg1(fam).contract_product() != eps[r, i] * y
+
+    def left(xt, yt):
+        x, (q, j, y) = xt[2], yt
+        return h.coproduct_left_cut(x, y).map_leg2(fam).contract_product() != eps[q, j] * x
+
+    def anti(xt, yt):
+        (r, i, x), (q, j, y) = xt, yt
+        return h.antipode.apply(x * y) != sa[q, j] * sa[r, i]
+
+    wit1, wit2, wit_anti = _law_witnesses(h, window, [
+        _Law(right, "right"), _Law(left, "left"),
+        _Law(anti, apart=lambda r, q: h.antipode.target(r) != h.antipode.target(q))])
     rep.add("antipode-right", "m((S(x)id)(Delta(a)(1(x)b))) = eps(a)b", wit1 is None, wit1)
     rep.add("antipode-left", "m((id(x)S)((a(x)1)Delta(b))) = eps(b)a", wit2 is None, wit2)
     rep.add("antipode-antihomomorphism", "S(ab) = S(b)S(a)", wit_anti is None, wit_anti)
@@ -600,27 +647,29 @@ def check_star(h: MhaStructure, window: Window) -> CertificateReport:
         title="star structure (%s)" % h.label, window=window.label, subject_digest=h.label
     )
     star = h.star
-    wit_inv = wit_anti = wit_delta = None
+    wit_inv = None
     basis = alg.basis_on(window)
     starred = {(p, i): star.apply(x) for p, i, x in basis}
     for r, i, x in basis:
         if star.apply(starred[r, i]) != x:
             wit_inv = basis_label(g, (r, i))
             break
-    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
-        if wit_anti is None:
-            if star.apply(x * y) != starred[q, j] * starred[r, i]:
-                wit_anti = basis_label(g, (r, i), (q, j))
-        if wit_delta is None:
-            lhs = h.coproduct_right_cut(starred[r, i], y)
-            inner = h.coproduct_left_cut_second(starred[q, j], x)
-            rhs = (
-                inner.conj_coefficients()
-                .map_leg1(star.fn)
-                .map_leg2(star.fn)
-            )
-            if lhs != rhs:
-                wit_delta = basis_label(g, (r, i), (q, j))
+
+    def anti(xt, yt):
+        (r, i, x), (q, j, y) = xt, yt
+        return star.apply(x * y) != starred[q, j] * starred[r, i]
+
+    def coproduct(xt, yt):
+        (r, i, x), (q, j, y) = xt, yt
+        if (q, j) not in starred:  # the unit 1_q
+            starred[q, j] = star.apply(y)
+        lhs = h.coproduct_right_cut(starred[r, i], y)
+        inner = h.coproduct_left_cut_second(starred[q, j], x)
+        return lhs != inner.conj_coefficients().map_leg1(star.fn).map_leg2(star.fn)
+
+    wit_anti, wit_delta = _law_witnesses(h, window, [
+        _Law(anti, apart=lambda r, q: star.target(r) != star.target(q)),
+        _Law(coproduct, "right", star=True)])
     rep.add("star-involutive", "x** = x", wit_inv is None, wit_inv)
     rep.add("star-antimultiplicative", "(xy)* = y* x*", wit_anti is None, wit_anti)
     rep.add("star-coproduct", "Delta(x*) = Delta(x)*", wit_delta is None, wit_delta)

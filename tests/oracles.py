@@ -3,7 +3,11 @@
 These deliberately avoid the library's twist machinery: products are expanded
 from raw comultiplication slices so that the construction under test is
 checked against a second, dumber computation. The Fraction-pair scalar is the
-slow Q(i) arithmetic the int-backed scalar replaced.
+slow Q(i) arithmetic the int-backed scalar replaced. The per-pair checkers
+test every law of ``check_counit``, ``check_antipode``, ``check_star`` and the
+multiplicativity of ``check_admissible`` on every basis pair of the window,
+with no unit reduction and no skipped pair; the library's checkers must give
+the same reports.
 """
 
 from dataclasses import dataclass
@@ -12,6 +16,9 @@ from typing import Union
 
 from cogradedhopf.algebras import TensorElement
 from cogradedhopf.double import act_a_on_a, act_b_on_a
+from cogradedhopf.exact import Matrix, is_bijective
+from cogradedhopf.groups import basis_label
+from cogradedhopf.report import CertificateReport
 
 Rationalish = Union[int, Fraction]
 
@@ -218,3 +225,149 @@ class FractionGaussianRational:
         else:
             imag = Fraction(body)
         return FractionGaussianRational(real, imag)
+
+
+# -- per-pair checkers ----------------------------------------------------------
+
+
+def pair_check_counit(h, window):
+    """Both counit identities on all window basis pairs, plus multiplicativity."""
+    alg = h.algebra
+    g = h.group
+    rep = CertificateReport(
+        title="counit identities (%s)" % h.label, window=window.label, subject_digest=h.label
+    )
+    wit_right = wit_left = wit_hom = None
+    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
+        xy = x * y
+        if wit_right is None:
+            t = h.coproduct_right_cut(x, y)
+            if t.apply_covector_leg1(h.counit_covector) != xy:
+                wit_right = basis_label(g, (r, i), (q, j))
+        if wit_left is None:
+            t = h.coproduct_left_cut(x, y)
+            if t.apply_covector_leg2(h.counit_covector) != xy:
+                wit_left = basis_label(g, (r, i), (q, j))
+        if wit_hom is None:
+            lhs = h.counit_value(xy)
+            rhs = h.counit_value(x) * h.counit_value(y)
+            if lhs != rhs:
+                wit_hom = basis_label(g, (r, i), (q, j))
+    rep.add("counit-right", "(eps(x)id)(Delta(a)(1(x)b)) = ab", wit_right is None, wit_right)
+    rep.add("counit-left", "(id(x)eps)((a(x)1)Delta(b)) = ab", wit_left is None, wit_left)
+    rep.add("counit-homomorphism", "eps(ab) = eps(a)eps(b)", wit_hom is None, wit_hom)
+    return rep
+
+
+def pair_check_antipode(h, window):
+    """Antipode identities, anti-multiplicativity and bijectivity on the window."""
+    alg = h.algebra
+    g = h.group
+    rep = CertificateReport(
+        title="antipode identities (%s)" % h.label, window=window.label, subject_digest=h.label
+    )
+    fam = h.antipode.fn
+    wit1 = wit2 = wit_anti = None
+    basis = alg.basis_on(window)
+    eps = {(p, i): h.counit_value(x) for p, i, x in basis}
+    sa = {(p, i): h.antipode.apply(x) for p, i, x in basis}
+    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
+        if wit1 is None:
+            t = h.coproduct_right_cut(x, y).map_leg1(fam)
+            got = t.contract_product()
+            want = eps[r, i] * y
+            if got != want:
+                wit1 = basis_label(g, (r, i), (q, j))
+        if wit2 is None:
+            t = h.coproduct_left_cut(x, y).map_leg2(fam)
+            got = t.contract_product()
+            want = eps[q, j] * x
+            if got != want:
+                wit2 = basis_label(g, (r, i), (q, j))
+        if wit_anti is None:
+            lhs = h.antipode.apply(x * y)
+            rhs = sa[q, j] * sa[r, i]
+            if lhs != rhs:
+                wit_anti = basis_label(g, (r, i), (q, j))
+    rep.add("antipode-right", "m((S(x)id)(Delta(a)(1(x)b))) = eps(a)b", wit1 is None, wit1)
+    rep.add("antipode-left", "m((id(x)S)((a(x)1)Delta(b))) = eps(b)a", wit2 is None, wit2)
+    rep.add("antipode-antihomomorphism", "S(ab) = S(b)S(a)", wit_anti is None, wit_anti)
+
+    witness = None
+    targets = {}
+    for p in window.elements:
+        t = h.antipode.target(p)
+        if t in targets:
+            witness = "components %s and %s share the antipode target %s" % (
+                g.encode(targets[t]), g.encode(p), g.encode(t))
+            break
+        targets[t] = p
+        m = h.antipode.matrix(p)
+        if not is_bijective(m):
+            witness = "antipode block at %s is singular" % g.encode(p)
+            break
+    rep.add("antipode-bijective", "the antipode is a bijection", witness is None, witness)
+
+    if witness is None:
+        inv = h.antipode.inverse_on(window.elements)
+        wit_reg = None
+        for p in window.elements:
+            t = h.antipode.target(p)
+            src, minv = inv.fn(t)
+            if src != p or minv.matmul(h.antipode.matrix(p)) != Matrix.identity(alg.dim(p)):
+                wit_reg = "S^-1 S != id at %s" % g.encode(p)
+                break
+        rep.add("antipode-regularity", "S^-1 composes to the identity", wit_reg is None, wit_reg)
+    return rep
+
+
+def pair_check_star(h, window):
+    """Star structure: involution, anti-multiplicativity, Delta a *-homomorphism."""
+    alg = h.algebra
+    g = h.group
+    if h.star is None:
+        raise ValueError("structure %s has no star" % h.label)
+    rep = CertificateReport(
+        title="star structure (%s)" % h.label, window=window.label, subject_digest=h.label
+    )
+    star = h.star
+    wit_inv = wit_anti = wit_delta = None
+    basis = alg.basis_on(window)
+    starred = {(p, i): star.apply(x) for p, i, x in basis}
+    for r, i, x in basis:
+        if star.apply(starred[r, i]) != x:
+            wit_inv = basis_label(g, (r, i))
+            break
+    for (r, i, x), (q, j, y) in alg.basis_pairs(window):
+        if wit_anti is None:
+            if star.apply(x * y) != starred[q, j] * starred[r, i]:
+                wit_anti = basis_label(g, (r, i), (q, j))
+        if wit_delta is None:
+            lhs = h.coproduct_right_cut(starred[r, i], y)
+            inner = h.coproduct_left_cut_second(starred[q, j], x)
+            rhs = (
+                inner.conj_coefficients()
+                .map_leg1(star.fn)
+                .map_leg2(star.fn)
+            )
+            if lhs != rhs:
+                wit_delta = basis_label(g, (r, i), (q, j))
+    rep.add("star-involutive", "x** = x", wit_inv is None, wit_inv)
+    rep.add("star-antimultiplicative", "(xy)* = y* x*", wit_anti is None, wit_anti)
+    rep.add("star-coproduct", "Delta(x*) = Delta(x)*", wit_delta is None, wit_delta)
+    return rep
+
+
+def pair_action_morphism_witness(action, window):
+    """The witness of ``check_admissible``'s action-algebra-morphism, pair by pair."""
+    alg = action.base.algebra
+    g = action.base.group
+    basis = alg.basis_on(window)
+    for p in window.elements:
+        pmap = action.component_map(p)
+        images = {(q, i): pmap.apply(x) for q, i, x in basis}
+        bad = next((basis_label(g, (q, i), (r, j)) for (q, i, x), (r, j, y) in alg.basis_pairs(window)
+                    if pmap.apply(x * y) != images[q, i] * images[r, j]), None)
+        if bad is not None:
+            return "pi_%s not multiplicative at %s" % (g.encode(p), bad)
+    return None

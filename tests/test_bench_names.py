@@ -67,8 +67,8 @@ def test_counted_functions_resolve_and_count(lib):
         h = lib.hopf.make_kg(lib.groups.cyclic_group(2))
         w = lib.groups.Window.full(h.group)
         assert lib.hopf.check_counit(h, w).passed
-        d = lib.double.build_double(lib.double.make_group_function_pairing(h.group),
-                                    lib.cograded.trivial_action(h))
+        pairing = lib.double.make_group_function_pairing(h.group)
+        d = lib.double.build_double(pairing, lib.cograded.trivial_action(pairing.b_side))
         d.dmul(d.basis_tensor(*d.a_basis[0], *d.b_basis[0]),
                d.basis_tensor(*d.a_basis[-1], *d.b_basis[-1]))
         d.dbar(*d.a_basis[0], *d.b_basis[0])

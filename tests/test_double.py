@@ -307,6 +307,29 @@ def test_double_is_freed_without_the_cyclic_collector():
     assert full_suite(build_double(pairing, act).mha, w).passed
 
 
+def test_crossing_and_view_are_freed_without_the_cyclic_collector():
+    # the crossing's component maps close over its parts, not over the action
+    pairing = make_group_function_pairing(s3_group())
+    d = build_double(pairing, adjoint_shuffle_action(pairing.b_side))
+    gc.collect()
+    gc.disable()
+    try:
+        crossing = double_crossing(d)
+        assert check_crossing(crossing, Window.full(d.mha.group)).passed
+        refs = [weakref.ref(crossing), weakref.ref(d.mha)]
+        del d, crossing
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_build_double_rejects_an_action_on_another_copy_of_b():
+    pairing = make_group_function_pairing(cyclic_group(2))
+    other = make_kg(cyclic_group(2))
+    with pytest.raises(ValueError, match="not on the pairing's B side"):
+        build_double(pairing, trivial_action(other))
+
+
 @pytest.mark.parametrize("make_action", [trivial_action, adjoint_shuffle_action])
 def test_position_is_the_view_coordinate_map(pair_s3, make_action):
     # trivial: not a crossing, one view component; adjoint: graded over S3

@@ -269,6 +269,15 @@ def test_is_bijective():
     assert not is_bijective(Matrix.from_rows([[1, 1], [1, 1]]))
 
 
+def test_identity_is_one_shared_matrix_per_size():
+    m = Matrix.identity(3)
+    assert Matrix.identity(3) is m and Matrix.identity(2) is not m
+    assert m.sparse_columns() is Matrix.identity(3).sparse_columns()
+    assert m == Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(AttributeError):
+        m.rows = 2
+
+
 def test_inverse_round_trip():
     m = Matrix.from_rows([[1, 1], [0, I]])
     assert m.matmul(inverse(m)) == Matrix.identity(2)
