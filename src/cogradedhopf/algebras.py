@@ -56,7 +56,8 @@ class ComponentAlgebra:
     e_i * e_j. ``unit`` is the dense coefficient vector of the unit when the
     component has one, ``star`` the matrix of an antilinear involution
     (apply as star_matrix @ conj(v)). Vectors passed to the products and
-    the star are sparse rows {k: coeff}.
+    the star are sparse rows {k: coeff}. The products and the unit never
+    change, so their witnesses are memoized; the star may be set later.
     """
 
     def __init__(self, dim, products=None, unit=None, star=None):
@@ -64,6 +65,7 @@ class ComponentAlgebra:
         self.products = products if products is not None else {}
         self.unit = vector(unit) if unit is not None else None
         self.star = star
+        self._witnesses: dict = {}
         if self.unit is not None and len(self.unit) != dim:
             raise ValueError("unit vector has wrong length")
         if star is not None and (star.rows != dim or star.cols != dim):
@@ -114,6 +116,11 @@ class ComponentAlgebra:
     # -- invariant witnesses --------------------------------------------------
 
     def associativity_witness(self) -> Optional[str]:
+        if "associativity" not in self._witnesses:
+            self._witnesses["associativity"] = self._scan_associativity()
+        return self._witnesses["associativity"]
+
+    def _scan_associativity(self) -> Optional[str]:
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.products.get((i, j), {})
@@ -145,6 +152,11 @@ class ComponentAlgebra:
         return None
 
     def unit_witness(self) -> Optional[str]:
+        if "unit" not in self._witnesses:
+            self._witnesses["unit"] = self._scan_unit()
+        return self._witnesses["unit"]
+
+    def _scan_unit(self) -> Optional[str]:
         if self.unit is None:
             return "component has no unit"
         unit = {k: c for k, c in enumerate(self.unit) if c}

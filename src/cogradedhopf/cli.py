@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .cograded import adjoint_shuffle_action, check_admissible, check_cograded_laws, check_crossing, trivial_action
+from .cograded import adjoint_shuffle_action, check_admissible, check_cograded, check_crossing, trivial_action
 from .double import (
     build_double,
     check_double_axioms,
@@ -57,8 +57,7 @@ def verify_structure(loaded: LoadedSpec) -> CertificateReport:
     )
     rep.extend(full_suite(h, w))
     if h.algebra.mode == "cograded":
-        # the canonical-map blocks already ran inside the full suite
-        rep.extend(check_cograded_laws(h, w))
+        rep.extend(check_cograded(h, w))
     left = solve_left_integral(h, w)
     right = solve_right_integral(h, w)
     advisory = not h.group.is_finite

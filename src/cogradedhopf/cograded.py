@@ -407,18 +407,9 @@ def deformed_right_integral(
 
 
 def check_cograded(b: MhaStructure, window: Window) -> CertificateReport:
-    """Cograded-specific laws: diagonal product, canonical-map bijectivity,
-    counit support, antipode typing, and the unit-family compatibilities."""
-    return _check_cograded(b, window, with_canonical_maps=True)
-
-
-def check_cograded_laws(b: MhaStructure, window: Window) -> CertificateReport:
-    """:func:`check_cograded` without the canonical-map blocks, for callers
-    that run :func:`check_t1_t2` on the same window themselves."""
-    return _check_cograded(b, window, with_canonical_maps=False)
-
-
-def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) -> CertificateReport:
+    """Cograded-specific laws: diagonal product, counit support, antipode
+    typing, and the unit-family compatibilities. The canonical-map blocks
+    belong to :func:`hopf.check_t1_t2`, which ``full_suite`` runs."""
     alg = b.algebra
     g = b.group
     rep = CertificateReport(
@@ -430,9 +421,6 @@ def _check_cograded(b: MhaStructure, window: Window, with_canonical_maps: bool) 
             None if alg.mode == COGRADED else "algebra is in graded mode")
     if alg.mode != COGRADED:
         return rep
-
-    if with_canonical_maps:
-        rep.extend(check_t1_t2(b, window))
 
     witness = None
     for p in window.elements:
@@ -563,8 +551,9 @@ def mirrored_action(action: Action, mirrored: MhaStructure) -> Action:
 
 
 def mirror_check(b: MhaStructure, action: Action, window: Window) -> CertificateReport:
-    """Regrade the deformation by inversion, re-check the cograded laws, keep
-    the crossing, and confirm that deforming twice restores the original.
+    """Regrade the deformation by inversion, re-check the cograded laws and
+    the canonical-map blocks, keep the crossing, and confirm that deforming
+    twice restores the original.
 
     The second deformation is taken with respect to the regraded
     decomposition (the one in which the deformed structure is cograded);
@@ -596,6 +585,7 @@ def mirror_check(b: MhaStructure, action: Action, window: Window) -> Certificate
 
     mirrored = mirror_view(deformed)
     rep.extend(check_cograded(mirrored, window), prefix="mirror-")
+    rep.extend(check_t1_t2(mirrored, window), prefix="mirror-")
 
     # (ii) the action is still a crossing of the regraded deformation; this
     # admissibility runs against the deformed comultiplication

@@ -212,7 +212,6 @@ class MhaStructure:
     star: Optional[ComponentMap] = None
     label: str = ""
     _counit_cache: dict = field(default_factory=dict, repr=False)
-    _t1_t2_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cut_units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -371,16 +370,9 @@ def _flatten_tensor_block(t: TensorElement, p, q, dq: int) -> dict:
 def check_t1_t2(h: MhaStructure, window: Window) -> CertificateReport:
     """Decide bijectivity of every T1 and T2 block over the window by exact rank.
 
-    The blocks are ranked once per structure and window elements; each call
-    gets its own copy of the report.
+    This is the one owner of the canonical-map entries: ``full_suite`` runs it,
+    and :func:`cograded.check_cograded` does not.
     """
-    done = h._t1_t2_cache.get(window.elements)
-    if done is None:
-        done = h._t1_t2_cache[window.elements] = _t1_t2_report(h, window)
-    return CertificateReport(done.title, window.label, done.subject_digest, list(done.entries))
-
-
-def _t1_t2_report(h: MhaStructure, window: Window) -> CertificateReport:
     alg = h.algebra
     g = h.group
     rep = CertificateReport(

@@ -7,17 +7,21 @@ slow Q(i) arithmetic the int-backed scalar replaced. The per-pair checkers
 test every law of ``check_counit``, ``check_antipode``, ``check_star`` and the
 multiplicativity of ``check_admissible`` on every basis pair of the window,
 with no unit reduction and no skipped pair; the library's checkers must give
-the same reports.
+the same reports. ``alternate_products_witness`` is the check of the double's
+two leg-resolved product expressions that ``check_double_axioms`` derives from
+its twist entries instead of running.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import Union
 
 from cogradedhopf.algebras import TensorElement
 from cogradedhopf.double import act_a_on_a, act_b_on_a
 from cogradedhopf.exact import Matrix, is_bijective
-from cogradedhopf.groups import basis_label
+from cogradedhopf.groups import Window, basis_label
 from cogradedhopf.report import CertificateReport
 
 Rationalish = Union[int, Fraction]
@@ -371,3 +375,62 @@ def pair_action_morphism_witness(action, window):
         if bad is not None:
             return "pi_%s not multiplicative at %s" % (g.encode(p), bad)
     return None
+
+
+def alternate_products_witness(d):
+    """The first basis quadruple on which a leg-resolved product expression
+    differs from the double product, or None.
+
+    Variant 1 resolves the left factor through R^-1, variant 2 the right one.
+    """
+    g = d.pairing.group
+    window = Window.full(g)
+    aside, bside = d.pairing.a_side, d.pairing.b_side
+    r_inv_cache = {
+        key: d.twist.r_inv(d.basis_tensor(*key))
+        for key in ((s, i, r, j) for (s, i) in d.a_basis for (r, j) in d.b_basis)
+    }
+
+    @lru_cache(maxsize=1)  # the walk below asks for one left part at a time
+    def left_parts(s1, i1, r1, j1, s2, i2):
+        """R(b (x) a a2) for the terms b (x) a of R^-1 of the left factor."""
+        a2 = aside.algebra.basis_element(s2, i2)
+        parts = []
+        for (rb, sa), block in r_inv_cache[(s1, i1, r1, j1)].blocks.items():
+            for (jb, ia), c in block.items():
+                mid = aside.algebra.basis_element(sa, ia) * a2
+                part = TensorElement(bside.algebra, aside.algebra)
+                part.accumulate_outer(bside.algebra.basis_element(rb, jb), mid, c)
+                parts.append(d.twist.r(part))
+        return parts
+
+    a_basis = aside.algebra.basis_on(window)
+    b_basis = bside.algebra.basis_on(window)
+    witness = None
+    for (s1, i1, a1), (r1, j1, b1), (s2, i2, _), (r2, j2, b2) in product(
+            a_basis, b_basis, a_basis, b_basis):
+        primary = d._basis_product((s1, i1, r1, j1, s2, i2, r2, j2))
+        # variant resolving the left factor through the inverse twist
+        alt1 = TensorElement(aside.algebra, bside.algebra)
+        for moved in left_parts(s1, i1, r1, j1, s2, i2):
+            alt1.accumulate(moved.mul_leg2_right(b2))
+        if alt1 != primary:
+            witness = "variant-1 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
+                g.encode(s1), i1, g.encode(r1), j1,
+                g.encode(s2), i2, g.encode(r2), j2)
+            break
+        # variant resolving the right factor through the inverse twist
+        back2 = r_inv_cache[(s2, i2, r2, j2)]
+        alt2 = TensorElement(aside.algebra, bside.algebra)
+        for (rb, sa), block in back2.blocks.items():
+            for (jb, ia), c in block.items():
+                mid = b1 * bside.algebra.basis_element(rb, jb)
+                part = TensorElement(bside.algebra, aside.algebra)
+                part.accumulate_outer(mid, aside.algebra.basis_element(sa, ia), c)
+                alt2.accumulate(d.twist.r(part).mul_leg1_left(a1))
+        if alt2 != primary:
+            witness = "variant-2 at (%s,%d|%s,%d)(%s,%d|%s,%d)" % (
+                g.encode(s1), i1, g.encode(r1), j1,
+                g.encode(s2), i2, g.encode(r2), j2)
+            break
+    return witness

@@ -184,3 +184,18 @@ def test_counit_cuts_scale_with_basis_times_components(monkeypatch):
     monkeypatch.setattr(MhaStructure, "coproduct_right_cut", lambda h, x, y: calls.append(1) or original(h, x, y))
     assert check_counit(view, w).passed
     assert len(calls) == len(basis) * len(w.elements) == 216  # not 36 * 36 basis pairs
+
+
+def test_component_witnesses_are_computed_once_per_component(monkeypatch):
+    # check_graded_algebra and the cut laws' unit reduction ask for the same
+    # associativity and unit witnesses of every view component
+    view = adjoint_view(s3_group())
+    w = Window.full(view.group)
+    scans = {"assoc": [], "unit": []}
+    scan_assoc, scan_unit = ComponentAlgebra._scan_associativity, ComponentAlgebra._scan_unit
+    monkeypatch.setattr(ComponentAlgebra, "_scan_associativity",
+                        lambda comp: scans["assoc"].append(id(comp)) or scan_assoc(comp))
+    monkeypatch.setattr(ComponentAlgebra, "_scan_unit", lambda comp: scans["unit"].append(id(comp)) or scan_unit(comp))
+    assert full_suite(view, w).passed
+    components = sorted(id(view.algebra.component(p)) for p in w.elements)
+    assert sorted(scans["assoc"]) == sorted(scans["unit"]) == components

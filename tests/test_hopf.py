@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
+from cogradedhopf.cli import verify_structure
+from cogradedhopf.cograded import adjoint_shuffle_action, check_cograded
+from cogradedhopf.double import build_double, check_double_axioms, make_group_function_pairing
 from cogradedhopf.exact import GR, ONE, ZERO, Matrix
 from cogradedhopf.groups import Window, cyclic_group, integers_group, s3_group
+import cogradedhopf.hopf as hopf
 from cogradedhopf.hopf import (
     ComponentMap,
     GradedFunctional,
@@ -28,6 +32,7 @@ from cogradedhopf.hopf import (
     solve_left_integral,
     solve_right_integral,
 )
+from cogradedhopf.specfile import load_structure
 
 
 @pytest.fixture(scope="module")
@@ -82,22 +87,46 @@ def test_kg_s3_t1_t2_all_blocks_bijective(kg_s3):
     assert sum(1 for e in rep.entries if e.name.startswith("T2-block")) == 36
 
 
-def test_t1_t2_runs_once_per_window_and_hands_out_copies(monkeypatch):
-    import cogradedhopf.hopf as hopf
+def count_t1_t2(monkeypatch):
+    """Count the calls of ``check_t1_t2`` through every module that imports it."""
+    original, calls = hopf.check_t1_t2, []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cogradedhopf") and getattr(module, "check_t1_t2", None) is original:
+            monkeypatch.setattr(module, "check_t1_t2", lambda *a: calls.append(a) or original(*a))
+    return calls
 
-    h = make_kg(s3_group())
-    calls = []
-    original = hopf._t1_t2_report
-    monkeypatch.setattr(hopf, "_t1_t2_report", lambda *a: calls.append(a) or original(*a))
-    first = check_t1_t2(h, wfull(h))
-    names = [e.name for e in first.entries]
-    first.add("extra", "added by the caller", False)
-    second = check_t1_t2(h, Window.of(h.group, h.group.elements, label="relabeled"))
-    assert len(calls) == 1
-    assert [e.name for e in second.entries] == names and second.passed
-    assert second.window == "relabeled"
-    check_t1_t2(h, Window.of(h.group, ["(12)"]))
-    assert len(calls) == 2
+
+def s3_adjoint_double():
+    pairing = make_group_function_pairing(s3_group())
+    return build_double(pairing, adjoint_shuffle_action(pairing.b_side))
+
+
+def verify_kg_s3():
+    return [verify_structure(load_structure("builtin:kg-s3"))]
+
+
+def axioms_and_cograded_on_view():
+    d = s3_adjoint_double()
+    return [check_double_axioms(d), check_cograded(d.mha, Window.full(d.mha.group))]
+
+
+def cograded_on_view():
+    view = s3_adjoint_double().mha
+    return [check_cograded(view, Window.full(view.group))]
+
+
+@pytest.mark.parametrize("pipeline, runs", [(verify_kg_s3, 1), (axioms_and_cograded_on_view, 1),
+                                            (cograded_on_view, 0)])
+def test_t1_t2_has_one_owner(monkeypatch, pipeline, runs):
+    calls = count_t1_t2(monkeypatch)
+    reports = pipeline()
+    assert all(rep.passed for rep in reports)
+    assert len(calls) == runs
+
+
+def test_double_axioms_and_cograded_laws_share_no_entry():
+    names = [e.name for rep in axioms_and_cograded_on_view() for e in rep.entries]
+    assert len(names) == len(set(names))
 
 
 def test_kg_s3_full_suite(kg_s3):
