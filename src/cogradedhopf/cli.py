@@ -14,6 +14,7 @@ from typing import Optional
 
 from .cograded import adjoint_shuffle_action, check_admissible, check_cograded, check_crossing, trivial_action
 from .double import (
+    DoubleLawError,
     build_double,
     check_double_axioms,
     check_pairing,
@@ -145,11 +146,12 @@ def cmd_double(args) -> int:
     )
     rep.extend(check_pairing(pairing, w))
     rep.extend(induced_grading_check(pairing, w))
-    d = build_double(pairing, action)
+    try:
+        d = build_double(pairing, action)
+    except DoubleLawError as exc:
+        return _emit(CertificateReport(rep.title, w.label, entries=[exc.entry]), args)
     doc = structure_to_doc(d.mha, label="double-%s-%s" % (pair_label, action.label))
-    rep.subject_digest = spec_digest(doc)
-    if args.out:
-        save_spec(args.out, doc)
+    rep.subject_digest = save_spec(args.out, doc) if args.out else spec_digest(doc)
     rep.extend(check_double_axioms(d))
     if d.crossing:
         rep.extend(check_crossing(double_crossing(d), Window.full(d.mha.group)),

@@ -49,7 +49,7 @@ from .hopf import (
     modular_element,
     solve_left_integral,
 )
-from .report import CertificateReport
+from .report import CertificateReport, CheckEntry
 
 
 @dataclass
@@ -967,6 +967,14 @@ class DoubleStructure:
         return self._star_cache[key]
 
 
+class DoubleLawError(ValueError):
+    """A failed law that stops ``build_double``; ``entry`` is its failing check."""
+
+    def __init__(self, entry: CheckEntry):
+        super().__init__("%s fails at %s" % (entry.law, entry.witness))
+        self.entry = entry
+
+
 def _star_involution_witness(d: DoubleStructure):
     """The twisted-tensor star condition: applying R(b* (x) a*) twice is the identity."""
     aside, bside = d.pairing.a_side, d.pairing.b_side
@@ -1041,7 +1049,8 @@ def build_double(pairing: Pairing, action: Action) -> DoubleStructure:
     if has_star:
         witness = _star_involution_witness(d)
         if witness is not None:
-            raise ValueError("star involution condition fails at %s" % witness)
+            raise DoubleLawError(CheckEntry(
+                "star-involution", "star involution condition", False, witness))
 
     def dense(row: dict, n: int) -> list:
         return [row.get(k, ZERO) for k in range(n)]

@@ -4,13 +4,15 @@ One document describes a structure completely: group (table or named
 built-in), mode, components with structure constants, comultiplication
 blocks, counit, antipode, optional star, and optionally an action and a
 pairing stub. Scalars are strings in the exact formats "a/b" and
-"a/b+c/d*i"; every matrix is a row-major list of such strings. Files are
-canonically serialized (sorted keys, fixed separators), so digests are
-stable across write/read round trips.
+"a/b+c/d*i"; every matrix is a row-major list of such strings. A saved file
+is its canonical JSON (sorted keys, fixed separators) and a newline, and its
+digest is the sha256 of that JSON, so digests are stable across write/read
+round trips; any other layout of the same document loads to the same digest.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,13 +50,19 @@ class SpecFormatError(ValueError):
     """A spec file failed to parse; the message names the offending section."""
 
 
+# scalars are immutable, so each text (most are "0") is parsed once; errors are not cached
+_parse = functools.lru_cache(maxsize=4096)(GR.parse)
+
+
 def _scalar(s) -> GR:
-    if isinstance(s, int):
+    if isinstance(s, str):
+        try:
+            return _parse(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecFormatError("bad scalar %r: %s" % (s, exc))
+    if type(s) is int:
         return GR(s)
-    try:
-        return GR.parse(s)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SpecFormatError("bad scalar %r: %s" % (s, exc))
+    raise SpecFormatError("bad scalar %r: not a string or an integer" % (s,))
 
 
 def _list(value, what: str) -> list:
@@ -126,10 +134,12 @@ def spec_digest(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def save_spec(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def save_spec(path: str, doc: dict) -> str:
+    """Write the canonical text of ``doc`` and a newline; returns its digest."""
+    text = canonical_json(doc).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.writelines((text, b"\n"))
+    return hashlib.sha256(text).hexdigest()
 
 
 def load_spec_file(path: str) -> dict:

@@ -3,13 +3,17 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cogradedhopf.cli import main, verify_structure
 from cogradedhopf.cograded import adjoint_shuffle_action
 from cogradedhopf.groups import s3_group, cyclic_group
+from cogradedhopf.exact import GR
 from cogradedhopf.hopf import make_kg, make_group_algebra
 from cogradedhopf.specfile import (
     SpecFormatError,
+    _scalar,
     builtin_structure,
     canonical_json,
     load_structure,
@@ -18,7 +22,9 @@ from cogradedhopf.specfile import (
     structure_to_doc,
     save_spec,
     load_spec_file,
+    pairing_to_section,
 )
+from test_digests import scaled_pairing
 
 
 def test_structure_round_trip_kg_s3(tmp_path):
@@ -362,11 +368,91 @@ def _set_component(key, value):
     (lambda doc: doc.update(action={"rho": {"table": 5}}), "rho table must be 2x2"),
     (lambda doc: doc.update(action={"rho": {"table": [[0, 1], [1, "0"]]}}),
      "rho table entry '0' is not an index below 2"),
+    (_set_component("star", [[1.5]]), "bad scalar 1.5: not a string or an integer"),
+    (_set("counit", "e", [None]), "bad scalar None: not a string or an integer"),
+    (_set("delta", "default", [[["1"]]]), "bad scalar ['1']: not a string or an integer"),
+    (_set("antipode", "default", [[{"re": "1"}]]),
+     "bad scalar {'re': '1'}: not a string or an integer"),
+    (_set("counit", "e", [True]), "bad scalar True: not a string or an integer"),
 ], ids=["structure", "structure-plane", "unit", "delta", "delta-row", "star", "counit",
         "component", "star-section", "action-section", "action-blocks", "rho-table",
-        "rho-table-entry"])
+        "rho-table-entry", "float-scalar", "null-scalar", "list-scalar", "object-scalar",
+        "bool-scalar"])
 def test_malformed_json_type_is_a_spec_error(tmp_path, capsys, edit, message):
     code, err = verify_spec(tmp_path, capsys, edit)
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+SCALAR_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0", "6/2", " 1 / 2 ", "i", "-i", "+i", "1/2+0*i", "3-i",
+                     "-2/4*i", "1/0", "", "*i", "1/2+-3/4*i"]),
+    st.builds(lambda re, im, star: "%s+%s%si" % (re, im, "*" if star else ""),
+              st.fractions(), st.fractions(), st.booleans()),
+    st.text(alphabet="0123456789/+-*i ", max_size=12),
+)
+
+
+@given(SCALAR_TEXTS)
+def test_cached_scalar_parse_matches_the_parser(text):
+    try:
+        want = GR.parse(text)
+    except (ValueError, ZeroDivisionError):
+        for _ in range(2):
+            with pytest.raises(SpecFormatError, match="bad scalar"):
+                _scalar(text)
+        return
+    for _ in range(2):  # a parse and a cache hit
+        got = _scalar(text)
+        assert got == want
+        assert (type(got.re), type(got.im)) == (type(want.re), type(want.im))
+
+
+def test_bad_scalar_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(SpecFormatError, match="bad scalar '1/0'"):
+            _scalar("1/0")
+
+
+def test_saved_file_is_its_canonical_json(tmp_path):
+    doc = structure_to_doc(make_kg(s3_group()))
+    path = tmp_path / "kg-s3.json"
+    digest = save_spec(str(path), doc)
+    assert path.read_text() == canonical_json(doc) + "\n"
+    assert digest == spec_digest(doc)
+    indented = tmp_path / "kg-s3-indented.json"
+    with open(indented, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+    assert load_structure(str(indented)).digest == load_structure(str(path)).digest == digest
+
+
+@pytest.mark.parametrize("action", ["trivial", "adjoint"])
+def test_double_with_a_non_involutive_star_is_a_failed_report(tmp_path, capsys, action):
+    pairing = scaled_pairing()
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    save_spec(str(path_a), structure_to_doc(pairing.a_side))
+    save_spec(str(path_b), structure_to_doc(
+        pairing.b_side, pairing_section=pairing_to_section(pairing, pairing.a_side.label)))
+    out = tmp_path / "d.json"
+    code = main(["double", "--pair", "%s,%s" % (path_a, path_b), "--action", action,
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "[FAIL] star-involution" in captured.out
+    assert "witness: basis ((12),0)(x)(e,0)" in captured.out
+    assert "0 passed, 1 failed" in captured.out
+    assert not out.exists()
+
+
+def test_double_export_digest_is_the_report_subject(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    argv = ["double", "--pair", "builtin:pairing-gacs3", "--action", "trivial",
+            "--format", "structured"]
+    assert main(argv + ["--out", str(out)]) == 0
+    with_out = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    without_out = json.loads(capsys.readouterr().out)
+    assert with_out == without_out
+    assert with_out["subject_digest"] == load_structure(str(out)).digest
