@@ -138,8 +138,7 @@ def cmd_double(args) -> int:
     w = Window.full(pairing.group)
     cert = check_admissible(action, w)
     if not cert.passed:
-        print(cert.report.text())
-        return 1
+        return _emit(cert.report, args)
     rep = CertificateReport(
         title="double pipeline (%s; %s)" % (pair_label, action.label),
         window=w.label,

@@ -16,6 +16,7 @@ confirm that deforming twice restores the original blocks bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -122,13 +123,13 @@ class AdmissibilityCertificate:
 
 
 def _condition_one_witness(
-    structure: MhaStructure, action: Action, window: Window
+    structure: MhaStructure, action: Action, window: Window, ps
 ) -> Optional[str]:
-    """Blockwise: Delta(pi_p(b)) = (pi_p (x) pi_p)(Delta(b)) on the window."""
+    """Blockwise: Delta(pi_p(b)) = (pi_p (x) pi_p)(Delta(b)) for p in ps."""
     alg = structure.algebra
     g = structure.group
     rho = action.rho
-    for p in window.elements:
+    for p in ps:
         for q, r in window.pairs():
             src = structure.delta.source(q, r)
             cols = structure.delta.block_cols(q, r)
@@ -164,10 +165,29 @@ def _condition_one_witness(
 
 
 def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate:
-    """Verify the defining conditions of an admissible action on a window."""
+    """Verify the defining conditions of an admissible action on a window.
+
+    On a window closed under the product whose rho images, comultiplication
+    sources and star targets stay in it, the laws closed under composition
+    are scanned only for p in the certified generating set S
+    (:attr:`Window.generators`), once ``action-identity`` holds (pi_e = id,
+    rho_e = id). Suppose rho_{sq} = rho_s rho_q and pi_{sq} = pi_s pi_q on
+    every window component r, for all s in S and q in the window. Every p
+    is a word s p' with p' shorter, so by induction on the word
+    pi_{pq} = pi_s pi_{p'q} = pi_s pi_{p'} pi_q = pi_p pi_q, and likewise
+    for rho: the group law holds for every p, and each pi_p is a composite
+    of generator maps. Being multiplicative, a star map, a Delta-intertwiner
+    (with source typing and image blocks) and bijective on each block
+    survive composition, so once the group law has passed each needs
+    checking only for p in S. A reduced scan that finds a witness, or
+    raises, is rerun over the whole window, so the report names the full
+    scan's first witness. ``action-identity`` and
+    ``condition-3-compatibility`` form no products and scan the whole window.
+    """
     b = action.base
     alg = b.algebra
     g = b.group
+    rho = action.rho
     rep = CertificateReport(
         title="admissible action (%s on %s)" % (action.label, b.label),
         window=window.label,
@@ -176,66 +196,84 @@ def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate
     # group homomorphism into automorphisms
     witness = None
     for q in window.elements:
-        if action.rho.apply(g.identity, q) != q or action.block(
+        if rho.apply(g.identity, q) != q or action.block(
             g.identity, q
         ) != Matrix.identity(alg.dim(q)):
             witness = "pi_e is not the identity at %s" % g.encode(q)
             break
     rep.add("action-identity", "pi_e = id", witness is None, witness)
+    gens = window.generators if witness is None else None
 
-    witness = None
-    for p, q, r in window.triples():
-        lhs_target = action.rho.apply(g.multiply(p, q), r)
-        rhs_target = action.rho.apply(p, action.rho.apply(q, r))
-        if lhs_target != rhs_target:
-            witness = "rho law fails at (%s,%s,%s)" % (
-                g.encode(p), g.encode(q), g.encode(r))
-            break
-        lhs = action.block(g.multiply(p, q), r)
-        rhs = action.block(p, action.rho.apply(q, r)).matmul(action.block(q, r))
-        if lhs != rhs:
-            witness = "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (
-                g.encode(p), g.encode(q), g.encode(r))
-            break
+    @cache
+    def stays_inside():
+        """Every rho_q(r), comultiplication source and star target of the window lies in it."""
+        inside = set(window.elements)
+        return all(rho.apply(q, r) in inside and b.delta.source(q, r) in inside
+                   for q, r in window.pairs()) and (
+            b.star is None or all(b.star.target(q) in inside for q in window.elements))
+
+    def first_witness(scan):
+        """scan(S) when it finds nothing and the window is stable, else scan(window)."""
+        try:
+            if gens is not None and stays_inside() and scan(gens) is None:
+                return None
+        except ValueError:  # the full scan raises it again, in its own order
+            pass
+        return scan(window.elements)
+
+    def group_law(ps):
+        for p, (q, r) in product(ps, window.pairs()):
+            pq = g.multiply(p, q)
+            if rho.apply(pq, r) != rho.apply(p, rho.apply(q, r)):
+                return "rho law fails at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
+            if action.block(pq, r) != action.block(p, rho.apply(q, r)).matmul(action.block(q, r)):
+                return "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
+        return None
+
+    witness = first_witness(group_law)
     rep.add("action-group-law", "pi is a group homomorphism", witness is None, witness)
-
-    witness = None
+    if witness is not None:
+        gens = None
     basis = alg.basis_on(window)
-    for p in window.elements:
-        pmap = action.component_map(p)
-        images = {(q, i): pmap.apply(x) for q, i, x in basis}
-        bad, = _law_witnesses(b, window, [_Law(
-            lambda xt, yt: pmap.apply(xt[2] * yt[2]) != images[xt[:2]] * images[yt[:2]],
-            apart=lambda q, r: action.rho.apply(p, q) != action.rho.apply(p, r))])
-        if bad is not None:
-            witness = "pi_%s not multiplicative at %s" % (g.encode(p), bad)
-            break
+
+    def multiplicative(ps):
+        for p in ps:
+            pmap = action.component_map(p)
+            images = {(q, i): pmap.apply(x) for q, i, x in basis}
+            bad, = _law_witnesses(b, window, [_Law(
+                lambda xt, yt: pmap.apply(xt[2] * yt[2]) != images[xt[:2]] * images[yt[:2]],
+                apart=lambda q, r: rho.apply(p, q) != rho.apply(p, r))])
+            if bad is not None:
+                return "pi_%s not multiplicative at %s" % (g.encode(p), bad)
+        return None
+
+    witness = first_witness(multiplicative)
     rep.add("action-algebra-morphism", "each pi_p is multiplicative", witness is None, witness)
 
-    if b.star is not None:
-        witness = None
-        for p, (q, i, x) in product(window.elements, basis):
+    def star_map(ps):
+        for p, (q, i, x) in product(ps, basis):
             pmap = action.component_map(p)
             if pmap.apply(b.apply_star(x)) != b.apply_star(pmap.apply(x)):
-                witness = "pi_%s does not commute with star at %s" % (
-                    g.encode(p), basis_label(g, (q, i)))
-                break
+                return "pi_%s does not commute with star at %s" % (g.encode(p), basis_label(g, (q, i)))
+        return None
+
+    if b.star is not None:
+        witness = first_witness(star_map)
         rep.add("action-star-morphism", "each pi_p is a star map", witness is None, witness)
 
-    w1 = _condition_one_witness(b, action, window)
+    witness = first_witness(lambda ps: _condition_one_witness(b, action, window, ps))
     rep.add(
         "condition-1-comultiplication",
         "pi_p intertwines the comultiplication",
-        w1 is None,
-        w1,
+        witness is None,
+        witness,
     )
 
-    witness = None
-    for p, q in window.pairs():
-        m = action.block(p, q)
-        if not is_bijective(m):
-            witness = "pi_%s is singular on component %s" % (g.encode(p), g.encode(q))
-            break
+    def bijective(ps):
+        return next(("pi_%s is singular on component %s" % (g.encode(p), g.encode(q))
+                     for p, q in product(ps, window.elements) if not is_bijective(action.block(p, q))), None)
+
+    witness = first_witness(bijective)
     rep.add(
         "condition-2-component-typing",
         "pi_p maps B_q isomorphically onto the rho_p(q) component",
@@ -245,10 +283,10 @@ def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate
 
     witness = None
     for p, q in window.pairs():
-        lhs_idx = action.rho.apply(p, q)
+        lhs_idx = rho.apply(p, q)
         rhs_idx = g.multiply(g.multiply(p, q), g.invert(p))
         for r in window.elements:
-            if action.rho.apply(lhs_idx, r) != action.rho.apply(rhs_idx, r):
+            if rho.apply(lhs_idx, r) != rho.apply(rhs_idx, r):
                 witness = "rho mismatch at p=%s q=%s r=%s" % (
                     g.encode(p), g.encode(q), g.encode(r))
                 break

@@ -236,6 +236,31 @@ class Window:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def generators(self) -> Optional[tuple]:
+        """A generating set S of the window, or None unless the window is
+        closed under the product. Each greedy pick is the first element, in
+        window order, that makes the closure of {e} under left multiplication
+        by S largest; the search ends when the closure is the window, which
+        certifies S: every element is s p' with s in S and p' reached before."""
+        g = self.group
+        inside = set(self.elements)
+        if any(g.multiply(p, q) not in inside for p, q in self.pairs()):
+            return None
+
+        def closure(gens):
+            reached = {g.identity}
+            while len(grown := reached | {g.multiply(s, p) for s in gens for p in reached}) > len(reached):
+                reached = grown
+            return reached
+
+        gens, reached = (), {g.identity}
+        while len(reached) < len(inside):
+            reached, gens = max(((closure(gens + (x,)), gens + (x,))
+                                 for x in self.elements if x not in reached),
+                                key=lambda picked: len(picked[0]))
+        return gens
+
     def pairs(self):
         for p in self.elements:
             for q in self.elements:

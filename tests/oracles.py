@@ -377,6 +377,102 @@ def pair_action_morphism_witness(action, window):
     return None
 
 
+def _full_scan_condition_one_witness(action, window):
+    """Delta(pi_p(b)) = (pi_p (x) pi_p)(Delta(b)) for every p of the window."""
+    structure = action.base
+    alg = structure.algebra
+    g = structure.group
+    rho = action.rho
+    for p in window.elements:
+        for q, r in window.pairs():
+            src = structure.delta.source(q, r)
+            cols = structure.delta.block_cols(q, r)
+            if cols is None:
+                continue
+            tq, tr = rho.apply(p, q), rho.apply(p, r)
+            if structure.delta.source(tq, tr) != rho.apply(p, src):
+                return "source typing at p=%s block (%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
+            tcols = structure.delta.block_cols(tq, tr)
+            if tcols is None:
+                return "missing image block at p=%s (%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
+            pi_src_cols = action.block(p, src).sparse_columns()
+            pi_q_cols = action.block(p, q).sparse_columns()
+            pi_r_cols = action.block(p, r).sparse_columns()
+            dr = alg.dim(r)
+            dtr = alg.dim(tr)
+            for i in range(alg.dim(src)):
+                lhs: dict = {}
+                for k, c in pi_src_cols[i].items():
+                    for idx, ct in tcols[k].items():
+                        lhs[idx] = lhs.get(idx, 0) + c * ct
+                rhs: dict = {}
+                for idx, c in cols[i].items():
+                    a, b = divmod(idx, dr)
+                    for k, ck in pi_q_cols[a].items():
+                        for l, cl in pi_r_cols[b].items():
+                            rhs[k * dtr + l] = rhs.get(k * dtr + l, 0) + c * ck * cl
+                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                    return "p=%s block (%s,%s) basis %d" % (g.encode(p), g.encode(q), g.encode(r), i)
+    return None
+
+
+def admissible_full_scan(action, window):
+    """``check_admissible`` with every law scanned over every p of the window."""
+    b = action.base
+    alg = b.algebra
+    g = b.group
+    rho = action.rho
+    rep = CertificateReport(
+        title="admissible action (%s on %s)" % (action.label, b.label),
+        window=window.label,
+        subject_digest=b.label,
+    )
+    witness = next(("pi_e is not the identity at %s" % g.encode(q) for q in window.elements
+                    if rho.apply(g.identity, q) != q
+                    or action.block(g.identity, q) != Matrix.identity(alg.dim(q))), None)
+    rep.add("action-identity", "pi_e = id", witness is None, witness)
+
+    witness = None
+    for p, q, r in window.triples():
+        if rho.apply(g.multiply(p, q), r) != rho.apply(p, rho.apply(q, r)):
+            witness = "rho law fails at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
+            break
+        if action.block(g.multiply(p, q), r) != action.block(p, rho.apply(q, r)).matmul(action.block(q, r)):
+            witness = "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
+            break
+    rep.add("action-group-law", "pi is a group homomorphism", witness is None, witness)
+
+    witness = pair_action_morphism_witness(action, window)
+    rep.add("action-algebra-morphism", "each pi_p is multiplicative", witness is None, witness)
+
+    if b.star is not None:
+        witness = next(("pi_%s does not commute with star at %s" % (g.encode(p), basis_label(g, (q, i)))
+                        for p, (q, i, x) in product(window.elements, alg.basis_on(window))
+                        if action.apply(p, b.apply_star(x)) != b.apply_star(action.apply(p, x))), None)
+        rep.add("action-star-morphism", "each pi_p is a star map", witness is None, witness)
+
+    witness = _full_scan_condition_one_witness(action, window)
+    rep.add("condition-1-comultiplication", "pi_p intertwines the comultiplication", witness is None, witness)
+
+    witness = next(("pi_%s is singular on component %s" % (g.encode(p), g.encode(q))
+                    for p, q in window.pairs() if not is_bijective(action.block(p, q))), None)
+    rep.add("condition-2-component-typing", "pi_p maps B_q isomorphically onto the rho_p(q) component",
+            witness is None, witness)
+
+    witness = None
+    for p, q, r in window.triples():
+        lhs_idx, rhs_idx = rho.apply(p, q), g.multiply(g.multiply(p, q), g.invert(p))
+        if rho.apply(lhs_idx, r) != rho.apply(rhs_idx, r):
+            witness = "rho mismatch at p=%s q=%s r=%s" % (g.encode(p), g.encode(q), g.encode(r))
+            break
+        if action.block(lhs_idx, r) != action.block(rhs_idx, r):
+            witness = "pi_{rho_p(q)} != pi_{pqp^-1} at p=%s q=%s on %s" % (g.encode(p), g.encode(q), g.encode(r))
+            break
+    rep.add("condition-3-compatibility", "pi indexed by rho_p(q) equals pi indexed by pqp^-1",
+            witness is None, witness)
+    return rep
+
+
 def alternate_products_witness(d):
     """The first basis quadruple on which a leg-resolved product expression
     differs from the double product, or None.

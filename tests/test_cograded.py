@@ -14,6 +14,7 @@ from cogradedhopf.cograded import (
     mirror_check,
     trivial_action,
 )
+from cogradedhopf.double import build_double, double_crossing, make_group_function_pairing
 from cogradedhopf.exact import Matrix, ONE, ZERO
 from cogradedhopf.groups import (
     GroupSelfAction,
@@ -32,6 +33,7 @@ from cogradedhopf.hopf import (
     solve_left_integral,
     solve_right_integral,
 )
+from oracles import admissible_full_scan
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +325,127 @@ def test_mirror_check_trivial_on_abelian():
 def test_mirror_requires_crossing(kg_s3):
     rep = mirror_check(kg_s3, trivial_action(kg_s3), wfull(kg_s3))
     assert not rep.passed
+
+
+# -- admissibility on a generating set -------------------------------------------
+
+
+def _double_crossing(g, make_action):
+    pairing = make_group_function_pairing(g)
+    return double_crossing(build_double(pairing, make_action(pairing.b_side)))
+
+
+ACTIONS = {
+    "kg-s3 adjoint": lambda: adjoint_shuffle_action(make_kg(s3_group())),
+    "kg-s3 trivial": lambda: trivial_action(make_kg(s3_group())),
+    "cz2-s3 adjoint": lambda: adjoint_shuffle_action(
+        make_constant_family(make_ungraded_group_algebra(cyclic_group(2)), s3_group())),
+    "cz2-s3 trivial": lambda: trivial_action(
+        make_constant_family(make_ungraded_group_algebra(cyclic_group(2)), s3_group())),
+    "D(S3) adjoint crossing": lambda: _double_crossing(s3_group(), adjoint_shuffle_action),
+    "D(Z6) trivial crossing": lambda: _double_crossing(cyclic_group(6), trivial_action),
+}
+
+# the whole group, the subgroups {e,(12)} and {e,(123),(132)}, and the non-closed {e,(12),(13)}
+S3_WINDOWS = [None, ["(12)"], ["(123)"], ["(12)", "(13)"]]
+
+
+def _windows(action):
+    g = action.base.group
+    if g.name != "S3":
+        return [Window.full(g)]
+    return [Window.full(g) if elements is None else Window.of(g, elements) for elements in S3_WINDOWS]
+
+
+def _mutant(action, p, q, how):
+    """The action with its block (p, q) scaled by 2 or with entry (0, 0) raised by 1."""
+    def pi(r, s):
+        m = action.block(r, s)
+        if (r, s) != (p, q):
+            return m
+        rows = [[2 * c for c in row] if how == "scale" else list(row) for row in m.entries]
+        if how == "bump":
+            rows[0][0] += 1
+        return Matrix.from_rows(rows)
+
+    return Action(base=action.base, rho=action.rho, pi_fn=pi, label=action.label)
+
+
+def _mutants(action, window):
+    """Mutants at the last non-generator p of the window, and at a generator."""
+    gens = window.generators or ()
+    others = [p for p in window.elements if p not in gens and p != window.group.identity]
+    ps = others[-1:] + list(gens[:1])
+    q = window.elements[-1]
+    return [(p, q, how) for p in ps for how in ("scale", "bump")]
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_admissibility_matches_the_full_scan(name):
+    action = ACTIONS[name]()
+    for w in _windows(action):
+        assert check_admissible(action, w).report.to_dict() == admissible_full_scan(action, w).to_dict()
+        for p, q, how in _mutants(action, w):
+            mutant = _mutant(action, p, q, how)
+            fast = check_admissible(mutant, w).report
+            assert not fast.passed, (p, q, how, w.label)
+            assert fast.to_dict() == admissible_full_scan(_mutant(action, p, q, how), w).to_dict()
+
+
+def test_identity_mutant_takes_every_full_scan():
+    action = ACTIONS["kg-s3 adjoint"]()
+    w = Window.full(action.base.group)
+    mutant = _mutant(action, "e", "(13)", "scale")
+    fast = check_admissible(mutant, w).report
+    assert [e.name for e in fast.failures()][0] == "action-identity"
+    assert fast.to_dict() == admissible_full_scan(_mutant(action, "e", "(13)", "scale"), w).to_dict()
+
+
+def test_window_left_by_rho_is_scanned_in_full():
+    # rho_p = tau^(p mod 3) with tau the 3-cycle (e g1 g2) is a group action, but
+    # rho_{g2}(g2) = g1 leaves the subgroup window {e, g2, g4}. Every generator
+    # check passes; pi_{g4} pi_{g2} = 2 != pi_e on B_{g2} shows only at g4.
+    g = cyclic_group(6)
+    tau = {"e": "g1", "g1": "g2", "g2": "e"}
+
+    def rho(p, q):
+        for _ in range(g.index(p) % 3):
+            q = tau.get(q, q)
+        return q
+
+    action = Action(base=make_kg(g), rho=GroupSelfAction("table", rho), label="tau",
+                    pi_fn=lambda p, q: Matrix.from_rows([[2 if (p, q) == ("g4", "g1") else 1]]))
+    w = Window.of(g, ["g2"])
+    assert w.generators == ("g2",)
+    fast = check_admissible(action, w).report
+    assert fast.to_dict() == admissible_full_scan(action, w).to_dict()
+    assert "action-group-law" in [e.name for e in fast.failures()]
+
+
+def test_malformed_blocks_raise_in_full_scan_order(kg_s3):
+    # the generator scan meets ((123), e) first, the full scan ((12), e)
+    tall = Matrix.from_rows([[1], [1]])
+    action = Action(base=kg_s3, rho=trivial_self_action(kg_s3.group), label="tall",
+                    pi_fn=lambda p, q: tall if q == "e" and p in ("(12)", "(123)") else Matrix.identity(1))
+    with pytest.raises(ValueError, match=r"action block \(\(12\), e\) has shape 2x1"):
+        check_admissible(action, wfull(kg_s3))
+
+
+def test_group_law_is_scanned_on_the_generators(monkeypatch):
+    calls = []
+    matmul = Matrix.matmul
+    monkeypatch.setattr(Matrix, "matmul", lambda self, other: calls.append(1) or matmul(self, other))
+
+    def products(action, window):
+        for p, q in window.pairs():
+            action.block(p, q)  # built first, so that only action-group-law's products count
+        calls.clear()
+        assert check_admissible(action, window).passed
+        return len(calls)
+
+    action = ACTIONS["kg-s3 adjoint"]()
+    g = action.base.group
+    assert products(action, Window.full(g)) == 2 * 6 * 6
+    crossing = ACTIONS["D(Z6) trivial crossing"]()
+    assert products(crossing, Window.full(crossing.base.group)) == 1 * 6 * 6
+    assert products(action, Window.of(g, ["(12)", "(13)"])) == 3 * 3 * 3

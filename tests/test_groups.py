@@ -1,6 +1,10 @@
 """Tests for group oracles, self-actions and windows."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cogradedhopf.groups import (
     GroupAxiomError,
@@ -125,3 +129,78 @@ def test_window_full_requires_finite():
 def test_group_laws_on_integer_window():
     z = integers_group()
     assert check_group_laws_on_window(z, Window.integer_range(z, -4, 4)) is None
+
+
+# -- generating sets -------------------------------------------------------------
+
+
+def _permutation_table(n):
+    """The symmetric group on n letters as (labels, index table); pq acts by q first."""
+    perms = list(permutations(range(n)))
+    index = {perm: i for i, perm in enumerate(perms)}
+    return [str(perm) for perm in perms], [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+
+
+def _table_of(g):
+    return list(g.elements), [[g.index(g.multiply(a, b)) for b in g.elements] for a in g.elements]
+
+
+CYCLIC = {"Z%d" % n: (["g%d" % k for k in range(n)], [[(i + j) % n for j in range(n)] for i in range(n)])
+          for n in range(1, 13)}
+TABLES = {
+    **CYCLIC,
+    "S3": _table_of(s3_group()),
+    "Z2xZ2": (["00", "01", "10", "11"], [[i ^ j for j in range(4)] for i in range(4)]),
+    "S4": _permutation_table(4),
+}
+
+
+@st.composite
+def relabeled_groups(draw):
+    """A table group from TABLES with its elements renamed and reordered."""
+    name = draw(st.sampled_from(sorted(TABLES)))
+    labels, table = TABLES[name]
+    order = draw(st.permutations(range(len(labels))))
+    position = {old: new for new, old in enumerate(order)}
+    tag = draw(st.sampled_from(["x", "y_"]))
+    relabeled = finite_group_from_table(
+        ["%s%s" % (tag, labels[old]) for old in order],
+        [[position[table[i][j]] for j in order] for i in order], name=name)
+    return name, relabeled
+
+
+def closure_from_identity(g, gens):
+    """Every product of generators applied to e, by fixed-point iteration."""
+    reached = {g.identity}
+    while True:
+        grown = reached | {g.multiply(s, p) for s in gens for p in reached}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+@given(relabeled_groups())
+def test_generators_generate_the_window(named):
+    name, g = named
+    w = Window.full(g)
+    gens = w.generators
+    assert set(gens) <= set(w.elements)
+    assert closure_from_identity(g, gens) == set(w.elements)
+    assert Window.full(g).generators == gens == Window.of(g, g.elements).generators
+    if name in CYCLIC:
+        assert len(gens) == (g.order > 1)
+    else:
+        assert len(gens) == 2
+
+
+@pytest.mark.parametrize("elements", [["(12)"], ["(123)"]])
+def test_subgroup_window_generates_itself(elements):
+    g = s3_group()
+    w = Window.of(g, elements)
+    assert w.generators is not None
+    assert closure_from_identity(g, w.generators) == set(w.elements)
+
+
+def test_non_closed_windows_have_no_generators():
+    assert Window.of(s3_group(), ["(12)", "(13)"]).generators is None
+    assert Window.integer_range(integers_group(), -5, 5).generators is None

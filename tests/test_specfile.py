@@ -24,7 +24,7 @@ from cogradedhopf.specfile import (
     load_spec_file,
     pairing_to_section,
 )
-from test_digests import scaled_pairing
+from test_digests import scale_action, scaled_pairing
 
 
 def test_structure_round_trip_kg_s3(tmp_path):
@@ -456,3 +456,16 @@ def test_double_export_digest_is_the_report_subject(tmp_path, capsys):
     without_out = json.loads(capsys.readouterr().out)
     assert with_out == without_out
     assert with_out["subject_digest"] == load_structure(str(out)).digest
+
+
+def test_double_with_an_inadmissible_action_honours_format_and_report(tmp_path, capsys):
+    h = make_kg(s3_group())
+    action, report = tmp_path / "act.json", tmp_path / "rep.txt"
+    save_spec(str(action), structure_to_doc(h, action=scale_action(h)))
+    code = main(["double", "--pair", "builtin:pairing-gacs3", "--action", str(action),
+                 "--format", "structured", "--report", str(report)])
+    out = capsys.readouterr().out
+    assert code == 1
+    failing = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert "action-group-law" in failing
+    assert report.read_text() == out
