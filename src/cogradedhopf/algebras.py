@@ -54,10 +54,10 @@ class ComponentAlgebra:
 
     ``products[(i, j)]`` maps basis-index pairs to the sparse expansion of
     e_i * e_j. ``unit`` is the dense coefficient vector of the unit when the
-    component has one, ``star`` the matrix of an antilinear involution
-    (apply as star_matrix @ conj(v)). Vectors passed to the products and
-    the star are sparse rows {k: coeff}. The products and the unit never
-    change, so their witnesses are memoized; the star may be set later.
+    component has one, ``star`` the matrix S of an antilinear involution
+    v -> S conj(v). Vectors passed to the products and the star are sparse
+    rows {k: coeff}. The products and the unit never change, so their
+    witnesses are memoized; the star may be set later.
     """
 
     def __init__(self, dim, products=None, unit=None, star=None):
@@ -107,11 +107,7 @@ class ComponentAlgebra:
     def apply_star(self, v: dict) -> dict:
         if self.star is None:
             raise ValueError("component has no star structure")
-        out: dict = {}
-        cols = self.star.sparse_columns()
-        for k, c in v.items():
-            accumulate(out, cols[k], c.conj())
-        return out
+        return self.star.apply(v, antilinear=True)
 
     # -- invariant witnesses --------------------------------------------------
 
@@ -174,7 +170,7 @@ class ComponentAlgebra:
         if self.star is None:
             return "component has no star"
         # involutive: star(star(v)) = v, i.e. S conj(S) = identity
-        if self.star.matmul(self.star.conj()) != Matrix.identity(self.dim):
+        if self.star.compose(self.star.conj()) != Matrix.identity(self.dim):
             return "star is not involutive"
         starred = self.star.sparse_columns()  # the star of e_j is column j
         for i in range(self.dim):
@@ -687,8 +683,7 @@ def _matrix_images(family: Callable) -> Callable:
 
     def images(r):
         target, m = family(r)
-        cols = m.sparse_columns()
-        yield target, lambda j, c: {k: c * a for k, a in cols[j].items()}
+        yield target, lambda j, c: m.apply({j: c})
 
     return images
 

@@ -41,7 +41,7 @@ class Action:
 
     base: MhaStructure
     rho: GroupSelfAction
-    pi_fn: Callable  # (p, q) -> Matrix of pi_p restricted to B_q
+    pi_fn: Callable  # (p, q) -> Matrix of pi_p on B_q, columns in B_{rho_p(q)}
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
     _maps: dict = field(default_factory=dict, repr=False)
@@ -226,7 +226,7 @@ def check_admissible(action: Action, window: Window) -> AdmissibilityCertificate
             pq = g.multiply(p, q)
             if rho.apply(pq, r) != rho.apply(p, rho.apply(q, r)):
                 return "rho law fails at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
-            if action.block(pq, r) != action.block(p, rho.apply(q, r)).matmul(action.block(q, r)):
+            if action.block(pq, r) != action.block(p, rho.apply(q, r)).compose(action.block(q, r)):
                 return "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
         return None
 
@@ -403,7 +403,7 @@ def deform(b: MhaStructure, action: Action, window: Window) -> MhaStructure:
         pinv = g.invert(p)
         s_target, s_m = b.antipode.fn(p)
         twist = action.block(pinv, s_target)
-        return action.rho.apply(pinv, s_target), twist.matmul(s_m)
+        return action.rho.apply(pinv, s_target), twist.compose(s_m)
 
     antipode = ComponentMap(alg, alg, antipode_fn, label="S~")
     return MhaStructure(
@@ -426,12 +426,9 @@ def deformed_right_integral(
     def covector(p):
         pinv = g.invert(p)
         target = action.rho.apply(pinv, p)
-        m = action.block(pinv, p)
         cov = psi.covector(target)
-        return tuple(
-            sum((cov[k] * m.entry(k, i) for k in range(m.rows)), ZERO)
-            for i in range(m.cols)
-        )
+        return tuple(sum((cov[k] * c for k, c in col.items()), ZERO)
+                     for col in action.block(pinv, p).sparse_columns())
 
     domain = psi.domain
     return GradedFunctional(

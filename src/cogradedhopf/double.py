@@ -85,27 +85,28 @@ class Pairing:
             bv = b.comps.get(p)
             if bv is None:
                 continue
-            f = self.form(p)
+            rows = self.form(p).sparse_rows()
             for i, ai in av.items():
-                row = f.entries[i]
+                row = rows[i]
                 for j, bj in bv.items():
-                    if row[j]:
-                        acc = acc + ai * row[j] * bj
+                    fij = row.get(j)
+                    if fij is not None:
+                        acc = acc + ai * fij * bj
         return acc
 
     def covector_on_a(self, p, brow: dict):
         """The functional <., b> restricted to A_p, as a covector; ``brow`` is
         the sparse p-row of b."""
         f = self.form(p)
-        return tuple(sum((row[j] * c for j, c in brow.items()), ZERO) for row in f.entries)
+        image = f.apply(brow)
+        return tuple(image.get(i, ZERO) for i in range(f.rows))
 
     def covector_on_b(self, p, arow: dict):
         """The functional <a, .> restricted to B_p, as a covector; ``arow`` is
         the sparse p-row of a."""
-        f = self.form(p)
-        return tuple(
-            sum((c * f.entries[i][j] for i, c in arow.items()), ZERO) for j in range(f.cols)
-        )
+        f = self.form(p).transpose()
+        image = f.apply(arow)
+        return tuple(image.get(j, ZERO) for j in range(f.rows))
 
 
 def make_group_function_pairing(g) -> Pairing:
@@ -177,7 +178,7 @@ def act_b_on_b(pairing: Pairing, b: GradedElement, a: GradedElement) -> GradedEl
 
 @dataclass(frozen=True)
 class ModuleActionTables:
-    """Dense matrices of the actions b |> a and a |> b on window basis vectors."""
+    """Matrices of the actions b |> a and a |> b on window basis vectors."""
 
     b_on_a: dict  # (p, j) -> Matrix on A_p, the action of b_j at p
     a_on_b: dict  # (s, i, r) -> Matrix B_r -> B_{r s^-1}
@@ -198,7 +199,8 @@ def build_module_actions(pairing: Pairing, window: Window):
     a_basis = aside.algebra.basis_on(window)
     b_basis = bside.algebra.basis_on(window)
     b_on_a = {
-        (p, j): Matrix.from_columns([act_b_on_a(pairing, bj, ai).coeff(p) for s, _, ai in a_basis if s == p])
+        (p, j): Matrix.from_columns([act_b_on_a(pairing, bj, ai).comps.get(p, {}) for s, _, ai in a_basis
+                                     if s == p], aside.algebra.dim(p))
         for p, j, bj in b_basis
     }
     a_on_b = {}
@@ -206,7 +208,8 @@ def build_module_actions(pairing: Pairing, window: Window):
         for r in window.elements:
             target = g.multiply(r, g.invert(s))
             a_on_b[(s, i, r)] = Matrix.from_columns(
-                [act_a_on_b(pairing, ai, bj).coeff(target) for q, _, bj in b_basis if q == r])
+                [act_a_on_b(pairing, ai, bj).comps.get(target, {}) for q, _, bj in b_basis if q == r],
+                bside.algebra.dim(target))
 
     # module laws on window basis triples
     wit = {"assoc-ab": None, "assoc-ba": None, "alg-ba": None, "alg-ab": None}
@@ -328,9 +331,10 @@ def check_pairing(pairing: Pairing, window: Window) -> CertificateReport:
         block = coproduct(s, i)
         rhs = ZERO
         if u == s and v == s:
-            fu = pairing.form(s)
+            fj, fk = pairing.form(s).sparse_columns()[j], pairing.form(s).sparse_columns()[k]
             for (i1, i2), c in block.items():
-                rhs = rhs + c * fu.entries[i1][j] * fu.entries[i2][k]
+                if i1 in fj and i2 in fk:
+                    rhs = rhs + c * fj[i1] * fk[i2]
         if lhs != rhs and wit_b is None:
             wit_b = "a=%s b=%s b'=%s" % (
                 basis_label(g, (s, i)), basis_label(g, (u, j)), basis_label(g, (v, k)))
@@ -357,11 +361,12 @@ def check_pairing(pairing: Pairing, window: Window) -> CertificateReport:
             )
             rhs = ZERO
             if cols is not None:
-                fs, ft = pairing.form(s), pairing.form(t)
+                fs, ft = pairing.form(s).sparse_rows()[i], pairing.form(t).sparse_rows()[k]
                 dt = bside.algebra.dim(t)
                 for idx, c in cols[j].items():
                     j1, j2 = divmod(idx, dt)
-                    rhs = rhs + c * fs.entries[i][j1] * ft.entries[k][j2]
+                    if j1 in fs and j2 in ft:
+                        rhs = rhs + c * fs[j1] * ft[j2]
             if lhs != rhs and wit_a is None:
                 wit_a = "a=%s a'=%s b=%s" % (
                     basis_label(g, (s, i)), basis_label(g, (t, k)), basis_label(g, (r, j)))
@@ -594,7 +599,7 @@ class TwistCalculus:
             v, terms = self._slice2(r, j, u)
             src, sinv_m = self._sinv.fn(u)  # S^-1 : B_u -> B_{u^-1}
             # the twist after S^-1, column by column
-            moved_cols = self.action.block(rinv, g.invert(u)).matmul(sinv_m).sparse_columns()
+            moved_cols = self.action.block(rinv, g.invert(u)).compose(sinv_m).sparse_columns()
             for (k1, k2, c) in terms:
                 moved = self.bside.algebra.from_sparse({s: moved_cols[k1]})
                 acted = act_b_on_a(self.pairing, moved, a)
@@ -1075,7 +1080,7 @@ def build_double(pairing: Pairing, action: Action) -> DoubleStructure:
         target = view_group.invert(P)
         dim = len(comp_basis[target])
         return target, Matrix.from_columns(
-            [dense(view_row(twist.sbar_tensor(*key), target), dim) for key in comp_basis[P]])
+            [view_row(twist.sbar_tensor(*key), target) for key in comp_basis[P]], dim)
 
     components: dict = {}
     blocks: dict = {}
@@ -1110,8 +1115,7 @@ def build_double(pairing: Pairing, action: Action) -> DoubleStructure:
                     products[(x, y)] = entry
         star = None
         if has_star:
-            star = Matrix.from_columns(
-                [dense(view_row(d.star_tensor(*key), p), dim) for key in basis])
+            star = Matrix.from_columns([view_row(d.star_tensor(*key), p) for key in basis], dim)
         components[p] = ComponentAlgebra(dim, products, unit=dense(unit.get(p, {}), dim), star=star)
     for P, Q in product(comp_basis, repeat=2):
         # block (P, Q) of the coproduct of each basis vector of the source
@@ -1297,42 +1301,23 @@ def double_crossing(d: DoubleStructure) -> Action:
             f_s = pairing.form(s)
             f_t = pairing.form(t)
             pm = action.block(g.invert(p), t)  # B_t -> B_s
-            m = inverse(f_t.transpose()).matmul(pm.transpose()).matmul(f_s.transpose())
-            for i in range(aside.algebra.dim(s)):
-                for jj in range(bside.algebra.dim(t)):
-                    lhs = sum(
-                        (m.entries[k][i] * f_t.entries[k][jj] for k in range(m.rows)),
-                        ZERO,
-                    )
-                    rhs = sum(
-                        (f_s.entries[i][l] * pm.entries[l][jj] for l in range(pm.rows)),
-                        ZERO,
-                    )
-                    if lhs != rhs:
-                        raise ValueError(
-                            "transposed action does not satisfy its defining pairing"
-                        )
+            m = inverse(f_t.transpose()).compose(pm.transpose()).compose(f_s.transpose())
+            if m.transpose().compose(f_t) != f_s.compose(pm):
+                raise ValueError("transposed action does not satisfy its defining pairing")
             prime_cache[key] = m
         return prime_cache[key]
 
     def block(p, Q):
         basis_q = comp_basis[Q]
         target = g.multiply(g.multiply(p, Q), g.invert(p))
-        pm = action.block(p, g.invert(Q))  # B_{Q^-1} -> B_{(pQp^-1)^-1}
-        rows = [[ZERO] * len(basis_q) for _ in comp_basis[target]]
-        for col, (s, i, rq, j) in enumerate(basis_q):
-            ap = a_prime(p, s)
+        pm = action.block(p, g.invert(Q)).sparse_columns()  # B_{Q^-1} -> B_{(pQp^-1)^-1}
+        cols = []
+        for s, i, rq, j in basis_q:
             s_target = g.multiply(g.multiply(p, s), g.invert(p))
-            for k in range(ap.rows):
-                ca = ap.entries[k][i]
-                if not ca:
-                    continue
-                for l in range(pm.rows):
-                    cb = pm.entries[l][j]
-                    if cb:
-                        _, row = position[(s_target, k, g.invert(target), l)]
-                        rows[row][col] = ca * cb
-        return Matrix.from_rows(rows)
+            cols.append({position[(s_target, k, g.invert(target), l)][1]: ca * cb
+                         for k, ca in a_prime(p, s).sparse_columns()[i].items()
+                         for l, cb in pm[j].items()})
+        return Matrix.from_columns(cols, len(comp_basis[target]))
 
     from .groups import adjoint_self_action
 
@@ -1423,7 +1408,7 @@ def reduced_dual(b: MhaStructure, window: Optional[Window] = None,
                 if starget != p:
                     raise ValueError("cograded star must preserve components")
                 target, sm = b.antipode.fn(pinv)
-                return pinv, stm.conj().matmul(sm).transpose()
+                return pinv, stm.conj().compose(sm).transpose()
 
             star = star_fn
 
@@ -1469,7 +1454,7 @@ def reduced_dual(b: MhaStructure, window: Optional[Window] = None,
             if b.star is not None:
                 starget, stm = b.star.fn(g.invert(p))
                 target, sm = b.antipode.fn(p)
-                star_m = stm.conj().matmul(sm).transpose()
+                star_m = stm.conj().compose(sm).transpose()
             dual_components[p] = ComponentAlgebra(
                 dp, products, unit=b.counit_covector(p), star=star_m
             )

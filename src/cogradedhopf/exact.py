@@ -1,9 +1,9 @@
-"""Exact scalars in Q(i) and the dense/sparse linear algebra kernel.
+"""Exact scalars in Q(i) and the sparse linear algebra kernel.
 
 Every layer above this one stores its coefficients as :class:`GaussianRational`
-and does its linear algebra through the functions here: solving, kernels,
-ranks, inverses, Kronecker products and an exact positive-semidefiniteness
-decision.  There is no floating point anywhere; equality of scalars, vectors
+and does its linear algebra through the functions here: sparse matrices and
+their products, solving, kernels, ranks, inverses and an exact
+positive-semidefiniteness decision.  There is no floating point anywhere; equality of scalars, vectors
 and matrices is structural equality of canonical forms.
 """
 
@@ -236,63 +236,44 @@ def accumulate(acc: dict, row, scale=None) -> None:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix over Q(i)."""
+    """Immutable sparse matrix over Q(i), stored by its columns.
+
+    ``columns[j]`` maps each row index to the nonzero entry of column j. No
+    zero is ever stored, so ``==`` compares shapes and dicts. The column
+    dicts are shared with every caller and must not be mutated.
+    """
 
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples
+    columns: list  # of dicts row -> nonzero entry
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(as_scalar(e) for e in row) for row in rows)
+        """The matrix with the given dense rows, the form spec files use."""
+        data = [vector(row) for row in rows]
         n = len(data)
         m = len(data[0]) if n else 0
         if any(len(row) != m for row in data):
             raise ValueError("ragged rows")
-        return Matrix(n, m, data)
+        return Matrix(n, m, [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(m)])
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+    def from_columns(cols: Iterable[dict], rows: int) -> "Matrix":
+        """The matrix with ``rows`` rows and the given sparse columns, zeros dropped."""
+        columns = [{i: a for i, a in col.items() if a} for col in cols]
+        return Matrix(rows, len(columns), columns)
 
     @staticmethod
     @cache
     def identity(n: int) -> "Matrix":
-        """The n x n identity: one shared immutable matrix per size, sparse memos included."""
-        return Matrix(
-            n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-        )
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence]) -> "Matrix":
-        cols = [vector(c) for c in cols]
-        if not cols:
-            return Matrix.zeros(0, 0)
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise ValueError("ragged columns")
-        return Matrix(n, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n)))
+        """The n x n identity: one shared immutable matrix per size."""
+        return Matrix(n, n, [{j: ONE} for j in range(n)])
 
     def entry(self, i: int, j: int) -> GR:
-        return self.entries[i][j]
-
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return self.columns[j].get(i, ZERO)
 
     def sparse_columns(self) -> list:
-        """The columns as sparse dicts row -> nonzero entry.
-
-        Computed once per matrix and shared by every caller, so the dicts
-        must not be mutated.
-        """
-        cols = self.__dict__.get("_sparse_columns")
-        if cols is None:
-            cols = [
-                {i: row[j] for i, row in enumerate(self.entries) if row[j]}
-                for j in range(self.cols)
-            ]
-            object.__setattr__(self, "_sparse_columns", cols)
-        return cols
+        return self.columns
 
     def sparse_rows(self) -> list:
         """The rows as sparse dicts column -> nonzero entry.
@@ -302,128 +283,42 @@ class Matrix:
         """
         rows = self.__dict__.get("_sparse_rows")
         if rows is None:
-            rows = [{j: a for j, a in enumerate(row) if a} for row in self.entries]
+            rows = rows_of_columns(self.columns, self.rows)
             object.__setattr__(self, "_sparse_rows", rows)
         return rows
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+    def apply(self, v: dict, antilinear: bool = False) -> dict:
+        """The image of the sparse vector v {index: nonzero}: M v, or M conj(v)
+        when ``antilinear``."""
+        out: dict = {}
+        cols = self.columns
+        for k, c in v.items():
+            if antilinear:
+                c = c.conj()
+            if out:
+                accumulate(out, cols[k], c)
+            else:  # nothing to add to yet, and Q(i) has no zero divisors
+                out = {i: c * a for i, a in cols[k].items()}
+        return out
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(
-            self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries)
-        )
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                "shape mismatch: %dx%d vs %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
-            )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.matmul(other)
-        c = as_scalar(other)
-        return Matrix(
-            self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.entries)
-        )
-
-    def __rmul__(self, other):
-        c = as_scalar(other)
-        return self.__mul__(c)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
+    def compose(self, other: "Matrix") -> "Matrix":
+        """The product self @ other, one sparse column of other at a time."""
         if self.cols != other.rows:
             raise ValueError(
-                "cannot multiply %dx%d by %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
+                "cannot compose %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
-        ot = other.transpose().entries
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in ot:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, vec: Vector) -> Vector:
-        """Matrix times column vector, as tuples."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        nz = [(j, b) for j, b in enumerate(vec) if b]
-        if not nz:
-            return (ZERO,) * self.rows
-        out = [ZERO] * self.rows
-        for j, b in nz:
-            for i, row in enumerate(self.entries):
-                a = row[j]
-                if a:
-                    out[i] = out[i] + a * b
-        return tuple(out)
+        return Matrix(self.rows, other.cols, [self.apply(col) for col in other.columns])
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        return Matrix(self.cols, self.rows, self.sparse_rows())
 
     def conj(self) -> "Matrix":
         return Matrix(
-            self.rows, self.cols, tuple(tuple(a.conj() for a in row) for row in self.entries)
+            self.rows, self.cols, [{i: a.conj() for i, a in col.items()} for col in self.columns]
         )
 
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; tensor index (i,j) -> i*dim2 + j in both legs."""
-        rows = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    if a:
-                        row.extend(a * b for b in other.entries[k])
-                    else:
-                        row.extend((ZERO,) * other.cols)
-                rows.append(tuple(row))
-        return Matrix(self.rows * other.rows, self.cols * other.cols, tuple(rows))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(a) for a in row) for row in self.entries) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +459,23 @@ def solve_linear(rows: list, rhs, ncols: int) -> Optional[LinearSolution]:
 
 
 def is_bijective(m: Matrix) -> bool:
-    return m.is_square() and rank(m) == m.rows
+    return m.rows == m.cols and rank(m) == m.rows
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on non-square or singular input."""
-    if not m.is_square():
+    """Exact inverse; raises ValueError on non-square or singular input.
+
+    The columns of M are the rows of M^T, and reducing [M^T | I] to
+    [I | (M^T)^-1] leaves column i of M^-1 in row i.
+    """
+    if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [{**row, n + i: ONE} for i, row in enumerate(m.sparse_rows())]
+    aug = [{**col, n + i: ONE} for i, col in enumerate(m.columns)]
     red, pivots = _reduced_echelon(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    rows = []
-    for row in red[:n]:
-        rows.append(tuple(row.get(n + j, ZERO) for j in range(n)))
-    return Matrix(n, n, tuple(rows))
+    return Matrix(n, n, [{j - n: a for j, a in row.items() if j >= n} for row in red[:n]])
 
 
 def hermitian_psd(m: Matrix) -> bool:
@@ -589,17 +485,12 @@ def hermitian_psd(m: Matrix) -> bool:
     the rationals: a negative pivot, or a zero diagonal with a nonzero
     residual row, refutes positive semidefiniteness.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("hermitian_psd needs a square matrix")
     if m != m.conj_transpose():
         raise ValueError("matrix is not Hermitian")
     n = m.rows
-    a = {
-        (i, j): m.entries[i][j]
-        for i in range(n)
-        for j in range(n)
-        if m.entries[i][j]
-    }
+    a = {(i, j): x for j, col in enumerate(m.columns) for i, x in col.items()}
     remaining = list(range(n))
     while remaining:
         pivot = None

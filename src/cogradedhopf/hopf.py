@@ -83,10 +83,11 @@ class ComponentMap:
         out: dict = {}
         for p, v in x.comps.items():
             t, m = self.fn(p)
-            cols = m.sparse_columns()
-            acc = out.setdefault(t, {})
-            for k, c in v.items():
-                accumulate(acc, cols[k], c.conj() if self.antilinear else c)
+            image = m.apply(v, self.antilinear)
+            if t in out:
+                accumulate(out[t], image)
+            else:
+                out[t] = image
         return self.algebra_out.from_sparse(out)
 
     def inverse_on(self, candidates) -> "ComponentMap":
@@ -622,7 +623,7 @@ def check_antipode(h: MhaStructure, window: Window) -> CertificateReport:
         for p in window.elements:
             t = h.antipode.target(p)
             src, minv = inv.fn(t)
-            if src != p or minv.matmul(h.antipode.matrix(p)) != Matrix.identity(alg.dim(p)):
+            if src != p or minv.compose(h.antipode.matrix(p)) != Matrix.identity(alg.dim(p)):
                 wit_reg = "S^-1 S != id at %s" % g.encode(p)
                 break
         rep.add("antipode-regularity", "S^-1 composes to the identity", wit_reg is None, wit_reg)
@@ -1128,12 +1129,7 @@ def make_ungraded_group_algebra(g: GroupOracle) -> MhaStructure:
         for i in range(n)
     ]
     unit = [ONE if p == g.identity else ZERO for p in g.elements]
-    inv_perm = Matrix.from_rows(
-        [
-            [ONE if g.index(g.invert(g.elements[j])) == i else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    inv_perm = Matrix.from_columns([{g.index(g.invert(p)): ONE} for p in g.elements], n)
     comp = ComponentAlgebra.from_structure_constants(constants, unit=unit, star=inv_perm)
     tg = trivial_group()
     e = tg.identity

@@ -97,7 +97,7 @@ def _shaped(m: Matrix, rows: int, cols: int, what: str) -> Matrix:
 
 
 def _matrix_out(m: Matrix) -> list:
-    return [[str(x) for x in row] for row in m.entries]
+    return _columns_out(m.sparse_columns(), m.rows)
 
 
 def _sparse_out(nrows: int, ncols: int, entries) -> list:
@@ -250,6 +250,7 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
         structure = entry.get("structure")
         unit = entry.get("unit")
         star = entry.get("star")
+        constants = None
         if mode == COGRADED:
             if structure is None:
                 raise SpecFormatError(
@@ -265,15 +266,12 @@ def structure_from_doc(doc: dict, window_override: Optional[str] = None) -> Load
                     "component %s declares dim %d but its structure constants have dim %d"
                     % (g.encode(p), dim, len(constants))
                 )
-            return ComponentAlgebra.from_structure_constants(
-                constants,
-                unit=_vector(unit, "components.unit") if unit else None,
-                star=_matrix(star, "components.star") if star else None,
-            )
-        comp = ComponentAlgebra(dim)
-        if star:
-            comp.star = _matrix(star, "components.star")
-        return comp
+        star = _shaped(_matrix(star, "components.star"), dim, dim,
+                       "star of component %s" % g.encode(p)) if star else None
+        if constants is None:
+            return ComponentAlgebra(dim, star=star)
+        return ComponentAlgebra.from_structure_constants(
+            constants, unit=_vector(unit, "components.unit") if unit else None, star=star)
 
     block_fn = None
     unit_components = None

@@ -3,7 +3,8 @@
 These deliberately avoid the library's twist machinery: products are expanded
 from raw comultiplication slices so that the construction under test is
 checked against a second, dumber computation. The Fraction-pair scalar is the
-slow Q(i) arithmetic the int-backed scalar replaced. The per-pair checkers
+slow Q(i) arithmetic the int-backed scalar replaced, and the dense row-tuple
+loops are the matrix products the sparse ``Matrix`` replaced. The per-pair checkers
 test every law of ``check_counit``, ``check_antipode``, ``check_star`` and the
 multiplicativity of ``check_admissible`` on every basis pair of the window,
 with no unit reduction and no skipped pair; the library's checkers must give
@@ -20,7 +21,7 @@ from typing import Union
 
 from cogradedhopf.algebras import TensorElement
 from cogradedhopf.double import act_a_on_a, act_b_on_a
-from cogradedhopf.exact import Matrix, is_bijective
+from cogradedhopf.exact import ZERO, Matrix, is_bijective
 from cogradedhopf.groups import Window, basis_label
 from cogradedhopf.report import CertificateReport
 
@@ -57,9 +58,8 @@ def untwisted_double_product(pairing, quadruple):
                         pairing, bside.algebra.basis_element(u, k1), a2
                     )
                     src, sm = sinv.fn(w)
-                    svec = sm.col(k3)
                     acted = act_a_on_a(
-                        pairing, acted, bside.algebra.element({src: svec})
+                        pairing, acted, bside.algebra.from_sparse({src: sm.sparse_columns()[k3]})
                     )
                     for sp in acted.comps:
                         left = aside.algebra.basis_element(s1, i1) * acted.restrict([sp])
@@ -231,6 +231,60 @@ class FractionGaussianRational:
         return FractionGaussianRational(real, imag)
 
 
+# -- dense matrix arithmetic ------------------------------------------------------
+#
+# The row-tuple loops that the sparse Matrix replaced. Each takes Matrix
+# arguments, reads them entry by entry and returns dense row tuples (or a
+# dense vector), so a 0-row result keeps its width only in the caller's shape.
+
+
+def dense_rows(m):
+    """The entries of m as a tuple of row tuples."""
+    return tuple(tuple(m.entry(i, j) for j in range(m.cols)) for i in range(m.rows))
+
+
+def dense_apply(m, vec, antilinear=False):
+    """m times the dense column vector vec, or m times conj(vec), as a tuple."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length %d, expected %d" % (len(vec), m.cols))
+    if antilinear:
+        vec = tuple(b.conj() for b in vec)
+    rows = dense_rows(m)
+    out = [ZERO] * m.rows
+    for j, b in enumerate(vec):
+        if b:
+            for i, row in enumerate(rows):
+                a = row[j]
+                if a:
+                    out[i] = out[i] + a * b
+    return tuple(out)
+
+
+def dense_matmul(a, b):
+    """a @ b by the triple loop, as row tuples."""
+    if a.cols != b.rows:
+        raise ValueError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    b_cols = [tuple(b.entry(i, j) for i in range(b.rows)) for j in range(b.cols)]
+    out = []
+    for row in dense_rows(a):
+        out_row = []
+        for col in b_cols:
+            acc = ZERO
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def dense_add(a, b):
+    """The entrywise sum of two matrices of one shape, as row tuples."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch: %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(dense_rows(a), dense_rows(b)))
+
+
 # -- per-pair checkers ----------------------------------------------------------
 
 
@@ -318,7 +372,7 @@ def pair_check_antipode(h, window):
         for p in window.elements:
             t = h.antipode.target(p)
             src, minv = inv.fn(t)
-            if src != p or minv.matmul(h.antipode.matrix(p)) != Matrix.identity(alg.dim(p)):
+            if src != p or minv.compose(h.antipode.matrix(p)) != Matrix.identity(alg.dim(p)):
                 wit_reg = "S^-1 S != id at %s" % g.encode(p)
                 break
         rep.add("antipode-regularity", "S^-1 composes to the identity", wit_reg is None, wit_reg)
@@ -437,7 +491,7 @@ def admissible_full_scan(action, window):
         if rho.apply(g.multiply(p, q), r) != rho.apply(p, rho.apply(q, r)):
             witness = "rho law fails at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
             break
-        if action.block(g.multiply(p, q), r) != action.block(p, rho.apply(q, r)).matmul(action.block(q, r)):
+        if action.block(g.multiply(p, q), r) != action.block(p, rho.apply(q, r)).compose(action.block(q, r)):
             witness = "pi_{pq} != pi_p pi_q at (%s,%s,%s)" % (g.encode(p), g.encode(q), g.encode(r))
             break
     rep.add("action-group-law", "pi is a group homomorphism", witness is None, witness)

@@ -189,7 +189,7 @@ def _deformation_suite(h, label):
         pinv = g.invert(p)
         s_target, sm = h.antipode.fn(p)
         assert t_target == act.rho.apply(pinv, s_target)
-        assert m == act.block(pinv, s_target).matmul(sm)
+        assert m == act.block(pinv, s_target).compose(sm)
     phi = solve_left_integral(h, w).functional
     assert check_integral_membership(d, phi, "left", w).passed
     psi = solve_right_integral(h, w).functional

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import dense_apply
 from cogradedhopf.algebras import (
     COGRADED,
     GRADED,
@@ -52,6 +53,26 @@ def test_component_algebra_validates_z2_group_algebra():
     assert comp.unit_witness() is None
     assert comp.star_witness() is None
     assert comp.product_vec({1: ONE}, {1: ONE}) == {0: ONE}
+
+
+@pytest.mark.parametrize("n", [24, 96])
+def test_star_involution_check_is_linear_in_a_permutation_star(monkeypatch, n):
+    # the reversal permutation, on a component with no products, so that the
+    # only scalar work in star_witness is the involution check S conj(S) = id
+    comp = ComponentAlgebra(n, star=Matrix.from_columns([{n - 1 - j: ONE} for j in range(n)], n))
+    counts = {"bool": 0, "mul": 0}
+    for name, key in (("__bool__", "bool"), ("__mul__", "mul")):
+        def counted(self, *args, _op=getattr(GR, name), _key=key):
+            counts[_key] += 1
+            return _op(self, *args)
+        monkeypatch.setattr(GR, name, counted)
+    assert comp.star_witness() is None
+    # one product and one zero test per column; a dense product makes n^3
+    assert counts["bool"] <= 2 * n and counts["mul"] <= 2 * n, counts
+    counts.update(bool=0, mul=0)
+    comp.star = Matrix.from_columns([{n - 1 - j: GR(2)} for j in range(n)], n)  # S conj(S) = 4 id
+    assert comp.star_witness() == "star is not involutive"
+    assert counts["bool"] <= 2 * n and counts["mul"] <= 2 * n, counts
 
 
 def test_broken_associativity_is_witnessed():
@@ -146,7 +167,7 @@ def test_element_operations_keep_canonical_form():
                 v = z.coeff(p)
                 if antilinear:
                     v = tuple(c.conj() for c in v)
-                want = want + b.element({target: m.apply(v)})
+                want = want + b.element({target: dense_apply(m, v)})
             assert got == want
     assert ComponentMap(b, b, family).apply(plus_minus).is_zero()
 
@@ -225,7 +246,7 @@ def assert_leg_routines(alg, window):
     def mapped(x):
         p, = x.comps
         target, m = family(p)
-        return alg.element({target: m.apply(x.coeff(p))})
+        return alg.element({target: dense_apply(m, x.coeff(p))})
 
     def collapsed(x):
         p, = x.comps

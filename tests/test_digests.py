@@ -181,7 +181,7 @@ def identity_antipode_kg_z3():
 
 def zero_delta_kg_z2():
     h = make_kg(cyclic_group(2))
-    zero = Matrix.zeros(1, 1)
+    zero = Matrix.from_rows([[0]])
     return with_parts(h, delta=CogradedBlockDelta(h.algebra, lambda p, q: zero.sparse_columns()),
                       label="kg-z2-zero-delta")
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionGaussianRational
+from oracles import FractionGaussianRational, dense_add, dense_apply, dense_matmul, dense_rows
 from cogradedhopf.exact import (
     GR,
     I,
@@ -171,7 +171,7 @@ def test_solve_identity_triple():
 
 
 def test_solve_zero_map():
-    m = Matrix.zeros(2, 2)
+    m = Matrix.from_rows([[0, 0], [0, 0]])
     sol = solve_linear(m.sparse_rows(), (ZERO, ZERO), 2)
     assert sol.particular == (ZERO, ZERO)
     assert sol.dimension == 2
@@ -211,7 +211,7 @@ def test_solve_dimension_mismatch_raises():
 
 def test_kernel_identity_and_zero():
     assert kernel(Matrix.identity(4)) == []
-    assert len(kernel(Matrix.zeros(1, 3))) == 3
+    assert len(kernel(Matrix.from_rows([[0, 0, 0]]))) == 3
 
 
 def test_kernel_rank_nullity_on_row():
@@ -219,7 +219,7 @@ def test_kernel_rank_nullity_on_row():
     basis = kernel(m)
     assert len(basis) == 2  # rank-nullity: 3 columns, rank 1
     for v in basis:
-        assert m.apply(v) == (ZERO,)
+        assert dense_apply(m, v) == (ZERO,)
 
 
 def _random_matrix(rng, rows, cols):
@@ -238,12 +238,12 @@ def test_solve_then_remultiply_reproduces_rhs():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         x = tuple(GR(rng.randint(-3, 3)) for _ in range(cols))
-        rhs = m.apply(x)
+        rhs = dense_apply(m, x)
         sol = solve_linear(m.sparse_rows(), rhs, cols)
         assert sol is not None
-        assert m.apply(sol.particular) == rhs
+        assert dense_apply(m, sol.particular) == rhs
         for v in sol.kernel:
-            assert m.apply(v) == (ZERO,) * rows
+            assert dense_apply(m, v) == (ZERO,) * rows
         # the kernel read from the augmented elimination matches a separate one
         assert sol.kernel == tuple(kernel(m))
 
@@ -262,7 +262,7 @@ def _det2(m):
 
 def test_is_bijective():
     assert is_bijective(Matrix.identity(2))
-    assert not is_bijective(Matrix.zeros(2, 3))
+    assert not is_bijective(Matrix.from_rows([[0, 0, 0], [0, 0, 0]]))
     swap = Matrix.from_rows([[0, 1], [1, 0]])
     assert bool(_det2(swap)) is True  # determinant oracle
     assert is_bijective(swap)
@@ -280,7 +280,7 @@ def test_identity_is_one_shared_matrix_per_size():
 
 def test_inverse_round_trip():
     m = Matrix.from_rows([[1, 1], [0, I]])
-    assert m.matmul(inverse(m)) == Matrix.identity(2)
+    assert Matrix.from_rows(dense_matmul(m, inverse(m))) == Matrix.identity(2)
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 1], [1, 1]]))
 
@@ -297,6 +297,104 @@ def test_sparse_column_rank_matches_dense():
         assert rows_of_columns(sparse_cols, rows) == m.sparse_rows()
 
 
+# -- sparse matrices against the dense oracle ---------------------------------
+
+# explicit zeros go in, and from_columns must drop them
+entry_strategy = st.one_of(st.just(ZERO), gr_strategy)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """A Matrix with 0 to 4 rows and columns, built from sparse columns that
+    may hold explicit zeros, denominators and imaginary parts."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    columns = [draw(st.dictionaries(st.integers(0, rows - 1), entry_strategy, max_size=rows))
+               if rows else {} for _ in range(cols)]
+    return Matrix.from_columns(columns, rows)
+
+
+def _stores_no_zero(m) -> bool:
+    return len(m.columns) == m.cols and all(a for col in m.columns for a in col.values())
+
+
+def _sparse(vec) -> dict:
+    return {i: a for i, a in enumerate(vec) if a}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_matches_dense_product(data):
+    a = data.draw(sparse_matrices())
+    b = data.draw(sparse_matrices(rows=a.cols))
+    c = a.compose(b)
+    assert (c.rows, c.cols) == (a.rows, b.cols) and _stores_no_zero(c)
+    assert dense_rows(c) == dense_matmul(a, b)
+    if b.cols:
+        with pytest.raises(ValueError):
+            b.compose(data.draw(sparse_matrices(rows=b.cols + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_apply_matches_dense_apply(m, data):
+    vec = data.draw(st.lists(entry_strategy, min_size=m.cols, max_size=m.cols))
+    for antilinear in (False, True):
+        image = m.apply(_sparse(vec), antilinear)
+        assert image == _sparse(dense_apply(m, tuple(vec), antilinear))
+        assert all(image.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_storage_transpose_and_conj_match_dense(m):
+    assert _stores_no_zero(m)
+    rows = dense_rows(m)
+    if m.rows:
+        assert Matrix.from_rows(rows) == m
+    assert m.sparse_rows() == [_sparse(row) for row in rows]
+    assert m.sparse_columns() is m.columns
+    columns = tuple(tuple(row[j] for row in rows) for j in range(m.cols))
+    for got, want in [(m.transpose(), columns),
+                      (m.conj(), tuple(tuple(a.conj() for a in row) for row in rows)),
+                      (m.conj_transpose(), tuple(tuple(a.conj() for a in col) for col in columns))]:
+        assert _stores_no_zero(got) and dense_rows(got) == want
+    assert (m.transpose().rows, m.transpose().cols) == (m.cols, m.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(rows=n, cols=n)))
+def test_inverse_matches_dense_product(m):
+    n = m.rows
+    if rank(m) < n:
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert (inv.rows, inv.cols) == (n, n) and _stores_no_zero(inv)
+    one = dense_rows(Matrix.identity(n))
+    assert dense_matmul(m, inv) == one and dense_matmul(inv, m) == one
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_equality_is_shape_and_entries(m, data):
+    # the same entries with explicit zeros in other places are the same matrix
+    padded = Matrix.from_columns(
+        [{**{i: ZERO for i in range(m.rows)}, **col} for col in m.columns], m.rows)
+    assert padded == m
+    other = data.draw(sparse_matrices())
+    same = (other.rows, other.cols) == (m.rows, m.cols) and dense_rows(other) == dense_rows(m)
+    assert (other == m) == same
+    assert Matrix.from_columns(m.columns, m.rows + 1) != m
+    if m.rows and m.cols:
+        i = data.draw(st.integers(0, m.rows - 1))
+        j = data.draw(st.integers(0, m.cols - 1))
+        bumped = [dict(col) for col in m.columns]
+        bumped[j][i] = m.entry(i, j) + ONE
+        assert Matrix.from_columns(bumped, m.rows) != m
+
+
 # -- Hermitian PSD -----------------------------------------------------------
 
 
@@ -304,9 +402,11 @@ def _char_poly_coeffs(m):
     # Faddeev-LeVerrier: det(lambda*I - M) = lambda^n + c[1] lambda^(n-1) + ...
     n = m.rows
     coeffs = [ONE]
-    mk = Matrix.zeros(n, n)
+    mk = m
     for k in range(1, n + 1):
-        mk = m.matmul(mk + Matrix.identity(n) * coeffs[-1]) if k > 1 else m
+        if k > 1:
+            shift = Matrix.from_columns([{i: coeffs[-1]} for i in range(n)], n)
+            mk = Matrix.from_rows(dense_matmul(m, Matrix.from_rows(dense_add(mk, shift))))
         trace = sum((mk.entry(i, i) for i in range(n)), ZERO)
         coeffs.append(trace * GR(Fraction(-1, k)))
     return coeffs
@@ -347,9 +447,10 @@ def test_hermitian_psd_agrees_with_char_poly_oracle():
     for _ in range(120):
         n = rng.randint(1, 4)
         raw = _random_matrix(rng, n, n)
-        herm = raw + raw.conj_transpose()
+        herm = Matrix.from_rows(dense_add(raw, raw.conj_transpose()))
         if rng.random() < 0.5:
-            herm = herm.matmul(herm.conj_transpose())  # force a PSD sample
+            # force a PSD sample
+            herm = Matrix.from_rows(dense_matmul(herm, herm.conj_transpose()))
         assert hermitian_psd(herm) == _psd_by_char_poly(herm)
         checked += 1
     assert checked == 120
@@ -366,32 +467,6 @@ def test_hermitian_psd_integer_matrix_with_fraction_pivots():
 
 def test_psd_zero_diagonal_with_offdiagonal_is_refused():
     assert not hermitian_psd(Matrix.from_rows([[0, 1], [1, 0]]))
-
-
-# -- tensor products ---------------------------------------------------------
-
-
-def test_kron_dimensions_multiply():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[0, 1, 0], [1, 0, 0]])
-    k = a.kron(b)
-    assert (k.rows, k.cols) == (4, 6)
-    # spot-check the row-major index convention: k[(i1*2+i2),(j1*3+j2)] = a[i1][j1]*b[i2][j2]
-    assert k.entry(0, 1) == GR(1)  # a[0][0]*b[0][1]
-    assert k.entry(2, 4) == GR(4)  # a[1][1]*b[0][1]
-    assert k.entry(3, 3) == GR(4)  # a[1][1]*b[1][0]
-
-
-def test_kron_mixed_product_rule():
-    rng = random.Random(23)
-    for _ in range(10):
-        a = _random_matrix(rng, 2, 2)
-        b = _random_matrix(rng, 2, 3)
-        c = _random_matrix(rng, 2, 2)
-        d = _random_matrix(rng, 3, 2)
-        left = a.kron(b).matmul(c.kron(d))
-        right = a.matmul(c).kron(b.matmul(d))
-        assert left == right
 
 
 # -- rational square roots ---------------------------------------------------

@@ -170,7 +170,7 @@ def test_kg_antipode_identity_fails_for_identity_map():
 def test_zero_delta_block_fails_t1():
     g = cyclic_group(2)
     h = make_kg(g)
-    zero = Matrix.zeros(1, 1)
+    zero = Matrix.from_rows([[0]])
     broken = MhaStructure(
         algebra=h.algebra,
         delta=type(h.delta)(h.algebra, lambda p, q: zero.sparse_columns()),

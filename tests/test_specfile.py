@@ -332,6 +332,17 @@ def test_graded_product_block_shape_is_checked(tmp_path, capsys):
     assert "product block g1|g1 has shape 1x2, expected 1x1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [make_group_algebra, make_kg])
+def test_component_star_shape_is_checked_in_both_modes(tmp_path, capsys, make):
+    doc = structure_to_doc(make(s3_group()))
+    doc["components"]["e"]["star"] = [["1", "0"], ["0", "1"]]
+    path = tmp_path / "star.json"
+    save_spec(str(path), doc)
+    code = main(["verify", str(path)])
+    assert code == 2
+    assert "star of component e has shape 2x2, expected 1x1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "builtin:kg-s3", "--report"],
     ["double", "--pair", "builtin:pairing-gacs3", "--action", "trivial", "--out"],
